@@ -233,6 +233,20 @@ $V ctl "$CTL" shutdown | grep -q '^ok shutdown' \
 wait $SERVE_PID || { echo "serve exited non-zero" >&2; exit 1; }
 rm -rf "$SERVEDIR"
 
+echo "== live stepping path: visionbench byte-identity smoke =="
+# At seed 2024 each workload checks its stored op-0 / episode-0 Sim-class
+# digests; serve_churn's pin the incremental ServiceWorld path (congestion
+# control and resilience on, faults, leaves) byte for byte, which no
+# golden covers. The output is captured first so pipefail cannot trip.
+for W in spatial_sfu video_2d serve_churn; do
+  BENCH_OUT=$(cargo run --quiet --offline --release --manifest-path visionbench/Cargo.toml -- \
+    --workload "$W" --seed 2024 --seconds 2 --trace 0)
+  LAST=${BENCH_OUT##*$'\n'}
+  [[ "$LAST" == *'"correct": true'* && "$LAST" == *'"failed": 0,'* ]] \
+    || { echo "visionbench $W: digest check or ops failed: $LAST" >&2; exit 1; }
+  echo "  $W: correct, 0 failed"
+done
+
 echo "== clippy =="
 cargo clippy --workspace --all-targets -- -D warnings
 

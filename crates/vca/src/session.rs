@@ -30,17 +30,20 @@ use crate::server::{
 use std::collections::{HashMap, HashSet};
 use std::sync::OnceLock;
 use visionsim_core::metrics::{self, Class};
-use visionsim_core::sanitizer;
 use visionsim_core::rng::SimRng;
+use visionsim_core::sanitizer;
+use visionsim_core::stats::Percentiles;
 use visionsim_core::time::{SimDuration, SimTime};
 use visionsim_core::trace::{self, TraceKind};
 use visionsim_core::units::DataRate;
 use visionsim_device::device::{Device, DeviceKind};
 use visionsim_geo::cities::City;
+use visionsim_geo::coords::GeoPoint;
 use visionsim_geo::geodb::{GeoDb, NetAddr};
 use visionsim_geo::propagation::LatencyModel;
-use visionsim_geo::sites::{Provider, SiteRegistry};
-use visionsim_net::fault::{apply_to_netem, FaultEvent, FaultKind, FaultPlan};
+use visionsim_geo::sites::{Provider, ServerSite, SiteRegistry};
+use visionsim_mesh::geometry::Vec3;
+use visionsim_net::fault::{apply_to_netem, FaultKind, FaultPlan};
 use visionsim_net::link::{LinkConfig, LinkId};
 use visionsim_net::netem::Netem;
 use visionsim_net::network::{Network, NodeId};
@@ -54,8 +57,9 @@ use visionsim_semantic::packetize::{Fragment, FrameAssembler, Packetizer};
 use visionsim_sensor::capture::RgbdCapture;
 use visionsim_sensor::motion::MotionConfig;
 use visionsim_transport::cipher;
-use visionsim_transport::quic::QuicStreamSender;
-use visionsim_transport::rtp::RtpStream;
+use visionsim_transport::quic::{QuicFrame, QuicPacket, QuicStreamSender};
+use visionsim_transport::rtcp::{PliPacket, ReceiverReportPacket, XrPacket};
+use visionsim_transport::rtp::{RtpPacket, RtpStream};
 
 /// Cached handles into the metrics registry for the session layer. All
 /// [`Class::Sim`]: derived purely from seeded simulation state.
@@ -146,47 +150,33 @@ impl SessionConfig {
         b: (DeviceKind, City),
         seed: u64,
     ) -> Self {
-        SessionConfig {
-            provider,
-            participants: vec![
-                ParticipantSpec {
-                    name: "U1".into(),
-                    device: a.0,
-                    city: a.1,
-                },
-                ParticipantSpec {
-                    name: "U2".into(),
-                    device: b.0,
-                    city: b.1,
-                },
-            ],
-            duration: SimDuration::from_secs(30),
-            seed,
-            policy: AssignmentPolicy::NearestToInitiator,
-            uplink_limits: Vec::new(),
-            uplink_profile: None,
-            extra_delay: None,
-            layout: SeatingLayout::Arc,
-            visibility: VisibilityFlags::vision_pro(),
-            fault_plans: Vec::new(),
-            congestion_control: false,
-            resilience: None,
-        }
+        SessionConfig::with_users(provider, vec![a, b], seed)
     }
 
     /// An all-Vision-Pro FaceTime session with `n` users in the given
     /// cities (cycled if fewer cities than users).
     pub fn facetime_avp(n: usize, cities: &[City], seed: u64) -> Self {
         assert!(n >= 2, "a session needs at least two users");
-        let participants = (0..n)
-            .map(|i| ParticipantSpec {
+        let users = (0..n)
+            .map(|i| (DeviceKind::VisionPro, cities[i % cities.len()]))
+            .collect();
+        SessionConfig::with_users(Provider::FaceTime, users, seed)
+    }
+
+    /// A 30 s session between users `U1`, `U2`, … placed nearest to the
+    /// initiator, with no impairments.
+    fn with_users(provider: Provider, users: Vec<(DeviceKind, City)>, seed: u64) -> Self {
+        let participants = users
+            .into_iter()
+            .enumerate()
+            .map(|(i, (device, city))| ParticipantSpec {
                 name: format!("U{}", i + 1),
-                device: DeviceKind::VisionPro,
-                city: cities[i % cities.len()],
+                device,
+                city,
             })
             .collect();
         SessionConfig {
-            provider: Provider::FaceTime,
+            provider,
             participants,
             duration: SimDuration::from_secs(30),
             seed,
@@ -227,7 +217,7 @@ pub struct SessionOutcome {
     /// participant, milliseconds: capture tick → frame fully reassembled
     /// (spatial sessions only). Motion-to-photon adds up to one display
     /// frame plus the ~12 ms passthrough pipeline on top.
-    pub e2e_latency_ms: Vec<visionsim_core::stats::Percentiles>,
+    pub e2e_latency_ms: Vec<Percentiles>,
     /// The geolocation database covering every node in the session.
     pub geodb: GeoDb,
     /// Final encoder quality per participant (2D only; 1.0 otherwise).
@@ -272,31 +262,26 @@ impl SessionOutcome {
     /// Fraction of the session each participant's incoming personas were
     /// available.
     pub fn availability_fraction(&self, participant: usize) -> f64 {
-        let timeline = &self.availability[participant];
-        if timeline.is_empty() {
-            return 1.0;
-        }
-        let up = timeline
-            .iter()
-            .filter(|(_, s)| *s == PersonaState::Available)
-            .count();
-        up as f64 / timeline.len() as f64
+        fraction(&self.availability[participant], |s| {
+            s == PersonaState::Available
+        })
     }
 
     /// Fraction of the session a participant rendered the full spatial
     /// persona (1.0 when the mode log is empty — 2D sessions have no
     /// ladder).
     pub fn spatial_fraction(&self, participant: usize) -> f64 {
-        let timeline = &self.mode_log[participant];
-        if timeline.is_empty() {
-            return 1.0;
-        }
-        let spatial = timeline
-            .iter()
-            .filter(|(_, m)| *m == PersonaMode::Spatial)
-            .count();
-        spatial as f64 / timeline.len() as f64
+        fraction(&self.mode_log[participant], |m| m == PersonaMode::Spatial)
     }
+}
+
+/// Share of a timeline's entries that satisfy `hit` (1.0 when empty).
+fn fraction<T: Copy>(timeline: &[(SimTime, T)], hit: impl Fn(T) -> bool) -> f64 {
+    if timeline.is_empty() {
+        return 1.0;
+    }
+    let hits = timeline.iter().filter(|&&(_, v)| hit(v)).count();
+    hits as f64 / timeline.len() as f64
 }
 
 /// Per-sender media state.
@@ -367,6 +352,7 @@ impl ReceiverPeer {
 
     /// Record a media arrival for the congestion observables.
     fn on_arrival(&mut self, at: SimTime, wire_bytes: u64) {
+        self.interval_bytes += wire_bytes;
         self.xr_bytes += wire_bytes;
         if let Some(last) = self.last_arrival {
             let gap = at.since(last).as_nanos() as f64 / 1_000.0;
@@ -379,6 +365,65 @@ impl ReceiverPeer {
             self.mean_gap_us += (gap - self.mean_gap_us) / 16.0;
         }
         self.last_arrival = Some(at);
+    }
+
+    /// Track an RTP sequence number. Returns true when a gap broke decode
+    /// state and the PLI cooldown (at most two a second per sender) has
+    /// elapsed: the caller should ask for a keyframe now.
+    fn on_rtp_seq(&mut self, seq: u16, now: SimTime) -> bool {
+        let mut gap_seen = false;
+        if let Some(last) = self.last_seq {
+            let gap = seq.wrapping_sub(last) as u64;
+            if gap > 1 && gap < 1_000 {
+                self.lost += gap - 1;
+                gap_seen = true;
+            }
+        }
+        self.last_seq = Some(seq);
+        self.received += 1;
+        let cooled = self
+            .last_pli_at
+            .is_none_or(|at| now.since(at) >= SimDuration::from_millis(500));
+        if gap_seen && cooled {
+            self.last_pli_at = Some(now);
+        }
+        gap_seen && cooled
+    }
+
+    /// This interval's receiver report from `r` on sender `s`, draining
+    /// the byte and RTP loss counters. Spatial receivers report
+    /// semantic-frame loss from id gaps (those counters drain later, in
+    /// [`take_interval_completeness`](Self::take_interval_completeness));
+    /// 2D receivers report RTP sequence-gap loss.
+    fn take_rr(&mut self, spatial: bool, r: usize, s: usize) -> ReceiverReportPacket {
+        let (lost, arrived, highest_seq) = if spatial {
+            let highest = self.last_frame_id.unwrap_or(0) as u32;
+            (
+                self.frames_lost_interval,
+                self.frames_completed_interval,
+                highest,
+            )
+        } else {
+            (self.lost, self.received, self.last_seq.unwrap_or(0) as u32)
+        };
+        let total = arrived + lost;
+        let loss = if total == 0 {
+            0.0
+        } else {
+            lost as f64 / total as f64
+        };
+        let rr = ReceiverReportPacket {
+            reporter_ssrc: r as u32 + 1,
+            source_ssrc: s as u32 + 1,
+            fraction_lost: ReceiverReportPacket::q8_loss(loss),
+            cumulative_lost: lost as u32,
+            highest_seq,
+            received_bytes: self.interval_bytes as u32,
+        };
+        self.interval_bytes = 0;
+        self.lost = 0;
+        self.received = 0;
+        rr
     }
 
     /// This interval's XR payload: (jitter µs, arrival kbps), draining the
@@ -476,12 +521,8 @@ impl SessionRunner {
         SessionRunner { config }
     }
 
-    /// Run the session to completion.
-    ///
-    /// Batch path: builds a [`SessionSim`] and steps it to the end in a
-    /// tight loop. Byte-identical to the pre-stepper monolithic loop —
-    /// the setup, per-tick body, and tail run in the same order with the
-    /// same RNG draws; only the stack frame boundaries moved.
+    /// Run the session to completion: builds a [`SessionSim`] and steps
+    /// it to the end in a tight loop.
     pub fn run(self) -> SessionOutcome {
         let mut sim = SessionSim::new(self.config);
         while !sim.done() {
@@ -491,101 +532,43 @@ impl SessionRunner {
     }
 }
 
-/// The session engine as an incremental stepper.
-///
-/// [`SessionRunner::run`] drives it to completion for the batch path; the
-/// live service drives it one [`step_tick`](SessionSim::step_tick) at a
-/// time, slaved to a wall clock, injecting faults between ticks via
-/// [`inject_fault`](SessionSim::inject_fault). All fields are the former
-/// locals of the monolithic run loop; the split into `new`/`step_tick`/
-/// `finish` preserves their exact initialization and update order.
-pub struct SessionSim {
-    config: SessionConfig,
-    n: usize,
-    persona_type: PersonaType,
-    topology: Topology,
-    rng: SimRng,
-    latency: LatencyModel,
+/// The simulated network and where each participant is wired into it:
+/// clients, APs and their taps, SFU sites and the backbone between them.
+/// SFU failover rewires it mid-run.
+struct Fabric {
     net: Network,
+    topology: Topology,
+    latency: LatencyModel,
+    registry: SiteRegistry,
     clients: Vec<NodeId>,
     aps: Vec<NodeId>,
     tap_ids: Vec<TapId>,
+    /// Access link ids per participant (uplink, downlink) — the chaos
+    /// engine's fault plans mutate these mid-run.
     access_links: Vec<(LinkId, LinkId)>,
-    registry: SiteRegistry,
-    locations: Vec<visionsim_geo::coords::GeoPoint>,
+    locations: Vec<GeoPoint>,
     site_nodes: HashMap<&'static str, NodeId>,
     backbone_pairs: HashSet<(NodeId, NodeId)>,
     assignment: Option<ServerAssignment>,
+    /// The SFU node each participant sends to (empty for P2P).
     servers: Vec<NodeId>,
-    audio_quic: Vec<QuicStreamSender>,
-    audio_rtp: Vec<RtpStream>,
-    senders: Vec<SenderState>,
-    receivers: Vec<HashMap<usize, ReceiverPeer>>,
-    persona_positions: Vec<visionsim_mesh::geometry::Vec3>,
-    seat_drift: Vec<visionsim_mesh::geometry::Vec3>,
-    pipeline: VisibilityPipeline,
-    cost_model: CostModel,
-    gazes: Vec<GazeDynamics>,
-    counters: Vec<SessionCounters>,
-    availability: Vec<PersonaAvailability>,
-    availability_log: Vec<Vec<(SimTime, PersonaState)>>,
-    rx_bytes_since_frame: Vec<usize>,
-    semantic_frame_sizes: Vec<usize>,
-    frame_sent_at: Vec<Vec<SimTime>>,
-    e2e_latency_ms: Vec<visionsim_core::stats::Percentiles>,
-    fault_plans: Vec<(usize, FaultPlan)>,
-    ladders: Vec<DegradationLadder>,
-    mode_log: Vec<Vec<(SimTime, PersonaMode)>>,
-    quality_log: Vec<Vec<(SimTime, f64)>>,
+    /// Sites taken out by `ServerDown`, and their nodes, which forward
+    /// nothing more.
     dead_sites: Vec<&'static str>,
     dead_nodes: HashSet<NodeId>,
-    pending_failovers: Vec<(SimTime, Vec<usize>)>,
+    /// Every reattachment: (completion time, new site label).
     failovers: Vec<(SimTime, String)>,
-    directory: Option<SiteDirectory>,
-    reconnectors: Vec<Reconnector>,
-    next_probe: SimTime,
-    pli_sent: Vec<u64>,
-    keyframes_forced: Vec<u64>,
-    controllers: Vec<Option<CongestionController>>,
-    last_rr_loss: Vec<f64>,
-    pace_budget: Vec<f64>,
-    tick: SimDuration,
-    total_ticks: u64,
-    feedback_every: u64,
-    t: u64,
 }
 
-impl SessionSim {
-    /// Build the session world: topology, media state, chaos state, and
-    /// the congestion loop — everything up to (but not including) the
-    /// first tick.
-    pub fn new(config: SessionConfig) -> SessionSim {
-        assert!(
-            config.participants.len() >= 2,
-            "a session needs at least two participants"
-        );
-        let cfg = &config;
+impl Fabric {
+    fn new(cfg: &SessionConfig, topology: Topology) -> Fabric {
         let n = cfg.participants.len();
-        let profile = AppProfile::of(cfg.provider);
-        let devices: Vec<Device> = cfg
-            .participants
-            .iter()
-            .map(|p| Device::new(p.device, &p.name))
-            .collect();
-        let persona_type = profile.persona_type(&devices);
-        let topology = profile.topology(&devices);
-
-        let mut rng = SimRng::seed_from_u64(cfg.seed);
         let latency = LatencyModel::default();
         let mut net = Network::new(cfg.seed ^ 0x005E_5510);
-
-        // --- Topology construction -----------------------------------
         let mut clients = Vec::with_capacity(n);
         let mut aps = Vec::with_capacity(n);
-        let mut tap_ids: Vec<TapId> = Vec::with_capacity(n);
-        // Access link ids per participant (uplink, downlink) — the chaos
-        // engine's fault plans mutate these mid-run.
-        let mut access_links: Vec<(LinkId, LinkId)> = Vec::with_capacity(n);
+        let mut tap_ids = Vec::with_capacity(n);
+        let mut access_links = Vec::with_capacity(n);
         for p in &cfg.participants {
             let client = net.add_node(
                 &format!("{} ({})", p.name, p.device),
@@ -602,10 +585,7 @@ impl SessionSim {
             for (idx, rate) in &cfg.uplink_limits {
                 if *idx == clients.len() {
                     if cfg.congestion_control {
-                        net.set_shaper(
-                            up,
-                            Some(visionsim_net::shaper::ShaperConfig::new(*rate)),
-                        );
+                        net.set_shaper(up, Some(visionsim_net::shaper::ShaperConfig::new(*rate)));
                     } else {
                         *net.netem_mut(up) = Netem::with_rate_limit(*rate);
                     }
@@ -634,11 +614,9 @@ impl SessionSim {
             AssignmentPolicy::GeoDistributed => SiteRegistry::geo_distributed(cfg.provider),
         };
         let locations: Vec<_> = cfg.participants.iter().map(|p| p.city.location).collect();
-        // Site bookkeeping persists past construction: SFU failover adds
-        // sites (and backbone links) mid-run.
-        let mut site_nodes: HashMap<&'static str, NodeId> = HashMap::new();
-        let mut backbone_pairs: HashSet<(NodeId, NodeId)> = HashSet::new();
-        let (assignment, servers): (Option<ServerAssignment>, Vec<NodeId>) = match topology {
+        let mut site_nodes = HashMap::new();
+        let mut backbone_pairs = HashSet::new();
+        let (assignment, servers) = match topology {
             Topology::P2P => {
                 // Direct AP↔AP core path.
                 for i in 0..n {
@@ -658,7 +636,8 @@ impl SessionSim {
                     cfg.seed,
                 );
                 // One node per distinct site; APs link to their attachment.
-                for site in assignment.distinct_sites() {
+                let distinct = assignment.distinct_sites();
+                for site in &distinct {
                     let node = net.add_node(
                         &format!("{} {}", site.provider, site.label),
                         &format!("{}", site.provider),
@@ -674,13 +653,9 @@ impl SessionSim {
                     attach_nodes.push(node);
                 }
                 // Private backbone between distinct sites (lower stretch).
-                let distinct = assignment.distinct_sites();
                 for i in 0..distinct.len() {
                     for j in i + 1..distinct.len() {
-                        let (a, b) = (
-                            site_nodes[distinct[i].label],
-                            site_nodes[distinct[j].label],
-                        );
+                        let (a, b) = (site_nodes[distinct[i].label], site_nodes[distinct[j].label]);
                         let d = latency
                             .one_way(&distinct[i].location(), &distinct[j].location())
                             .mul_f64(0.8);
@@ -691,21 +666,364 @@ impl SessionSim {
                 (Some(assignment), attach_nodes)
             }
         };
+        Fabric {
+            net,
+            topology,
+            latency,
+            registry,
+            clients,
+            aps,
+            tap_ids,
+            access_links,
+            locations,
+            site_nodes,
+            backbone_pairs,
+            assignment,
+            servers,
+            dead_sites: Vec::new(),
+            dead_nodes: HashSet::new(),
+            failovers: Vec::new(),
+        }
+    }
 
-        // --- Media state ----------------------------------------------
-        // Audio senders: a QUIC stream alongside the persona stream for
-        // spatial sessions, an RTP/Opus flow otherwise.
-        let audio_quic: Vec<QuicStreamSender> = (0..n)
-            .map(|i| QuicStreamSender::new(sender_dcid(i), 1, SESSION_KEY))
+    /// Send from participant `i` toward its media peer: its SFU, or the
+    /// other client in a P2P call.
+    fn send_up(&mut self, i: usize, ports: PortPair, wire: impl Into<std::sync::Arc<[u8]>>) {
+        let dst = match self.topology {
+            Topology::Sfu => self.servers[i],
+            Topology::P2P => self.clients[1 - i],
+        };
+        self.net.send(self.clients[i], dst, ports, wire);
+    }
+
+    /// Take out the SFU site `participant` is attached to. Returns the
+    /// site's label and everyone attached there, or `None` when there is
+    /// no SFU or the site is already dead.
+    fn kill_server(&mut self, participant: usize) -> Option<(&'static str, Vec<usize>)> {
+        if self.topology != Topology::Sfu {
+            return None;
+        }
+        let victim = self.servers[participant];
+        if !self.dead_nodes.insert(victim) {
+            return None;
+        }
+        let (&label, _) = self
+            .site_nodes
+            .iter()
+            .find(|(_, &node)| node == victim)
+            .expect("every SFU node is a site node");
+        self.dead_sites.push(label);
+        for lid in self.net.links_of(victim) {
+            self.net.set_down(lid, true);
+        }
+        let affected = (0..self.servers.len())
+            .filter(|&p| self.servers[p] == victim)
             .collect();
-        let audio_rtp: Vec<RtpStream> = (0..n)
-            .map(|i| RtpStream::new(
-                visionsim_transport::rtp::PayloadType::OpusAudio,
-                0x1000 + i as u32,
-                48_000,
-            ))
+        Some((label, affected))
+    }
+
+    /// Reattach `participants` to `site`: add the site's node if it is
+    /// new, link each participant's AP to it, extend the backbone to every
+    /// other live site (in node order, so link ids never depend on hash
+    /// order), and log one failover.
+    fn reattach(&mut self, site: ServerSite, participants: &[usize], now: SimTime) {
+        let node = *self.site_nodes.entry(site.label).or_insert_with(|| {
+            self.net.add_node(
+                &format!("{} {}", site.provider, site.label),
+                &format!("{}", site.provider),
+                site.location(),
+            )
+        });
+        for &p in participants {
+            let d = self.latency.one_way(&self.locations[p], &site.location());
+            self.net.add_duplex(self.aps[p], node, LinkConfig::core(d));
+            self.servers[p] = node;
+        }
+        let mut others: Vec<NodeId> = self
+            .site_nodes
+            .values()
+            .copied()
+            .filter(|&s| s != node && !self.dead_nodes.contains(&s))
             .collect();
-        let senders: Vec<SenderState> = (0..n)
+        others.sort_unstable();
+        for other in others {
+            if self
+                .backbone_pairs
+                .insert((node.min(other), node.max(other)))
+            {
+                let other_at = self
+                    .net
+                    .geodb()
+                    .lookup(self.net.addr(other))
+                    .map(|e| e.location)
+                    .unwrap_or_else(|| site.location());
+                let d = self
+                    .latency
+                    .one_way(&site.location(), &other_at)
+                    .mul_f64(0.8);
+                self.net.add_duplex(node, other, LinkConfig::core(d));
+            }
+        }
+        vca_metrics().failovers.inc();
+        if trace::enabled() {
+            trace::record(
+                TraceKind::SfuFailover,
+                now.as_nanos(),
+                trace::intern(site.label),
+                participants.len() as u64,
+                0,
+                0,
+            );
+        }
+        self.failovers.push((now, site.label.to_string()));
+    }
+}
+
+/// How a session reattaches participants stranded by a `ServerDown`.
+/// Both schedulers rewire through [`Fabric::reattach`]; they differ in
+/// who moves together and where to (DESIGN.md §13).
+#[allow(clippy::large_enum_variant)] // one per session; boxing buys nothing
+enum Failover {
+    /// Legacy: each outage queues its whole cohort for one reattach, after
+    /// the fault's detect + reconnect gap, to the live site nearest the
+    /// initiator. One failover per cohort.
+    Cohort {
+        /// (due time, cohort) per outage. Overlapping outages each queue
+        /// their own cohort — an earlier one is never overwritten.
+        pending: Vec<(SimTime, Vec<usize>)>,
+        /// Participants whose cohort found no live site: dark for the rest
+        /// of the session — degraded, not aborted.
+        stranded: Vec<usize>,
+    },
+    /// Resilience layer: a probe-driven site directory plus one reconnect
+    /// machine per stranded participant, each reattaching to the site
+    /// nearest that participant through admission. One failover per
+    /// participant.
+    Reconnect {
+        config: ResilienceConfig,
+        directory: SiteDirectory,
+        reconnectors: Vec<Reconnector>,
+        next_probe: SimTime,
+    },
+}
+
+impl Failover {
+    fn new(cfg: &SessionConfig, fabric: &Fabric) -> Failover {
+        let Some(config) = cfg.resilience else {
+            return Failover::Cohort {
+                pending: Vec::new(),
+                stranded: Vec::new(),
+            };
+        };
+        // Seed the directory with the initial attachments so admission
+        // sees real load.
+        let mut directory = SiteDirectory::new(&fabric.registry, cfg.provider, config);
+        if let Some(a) = &fabric.assignment {
+            for (p, site) in a.attachments.iter().enumerate() {
+                directory.try_admit(site.label, 0, p as u64, SimTime::ZERO);
+            }
+        }
+        Failover::Reconnect {
+            config,
+            directory,
+            reconnectors: Vec::new(),
+            next_probe: SimTime::ZERO,
+        }
+    }
+
+    /// A site died at `now`, stranding `affected`; the first reattach
+    /// attempt is due at `due`.
+    fn on_server_down(
+        &mut self,
+        label: &'static str,
+        affected: Vec<usize>,
+        now: SimTime,
+        due: SimTime,
+        seed: u64,
+    ) {
+        match self {
+            Failover::Cohort { pending, .. } => pending.push((due, affected)),
+            Failover::Reconnect {
+                config,
+                directory,
+                reconnectors,
+                ..
+            } => {
+                // The directory learns the outage (ground truth; probes
+                // lag), and every stranded participant not already
+                // waiting gets a reconnect machine.
+                directory.set_site_up(label, false);
+                for _ in &affected {
+                    directory.detach(label, 0);
+                }
+                for &p in &affected {
+                    let waiting = reconnectors.iter().any(|r| {
+                        r.participant() == p as u64
+                            && matches!(r.phase(), ReconnectPhase::Waiting { .. })
+                    });
+                    if !waiting {
+                        reconnectors.push(Reconnector::new(
+                            p as u64,
+                            now,
+                            due,
+                            config.backoff,
+                            config.rejoin_budget,
+                            seed,
+                        ));
+                    }
+                }
+            }
+        }
+    }
+
+    /// Fire every reattach due at `now`, wiring each through
+    /// [`Fabric::reattach`].
+    fn reattach_due(&mut self, fabric: &mut Fabric, provider: Provider, now: SimTime) {
+        match self {
+            Failover::Cohort { pending, stranded } => {
+                // Reattach each due cohort to the next-nearest live site
+                // once its reconnection gap elapses.
+                while let Some(pos) = pending.iter().position(|(due, _)| now >= *due) {
+                    let (_, cohort) = pending.remove(pos);
+                    match failover_site(
+                        &fabric.registry,
+                        provider,
+                        &fabric.locations[0],
+                        &fabric.dead_sites,
+                    ) {
+                        Some(site) => fabric.reattach(site, &cohort, now),
+                        None => stranded.extend(cohort),
+                    }
+                }
+            }
+            Failover::Reconnect {
+                config,
+                directory,
+                reconnectors,
+                next_probe,
+            } => {
+                // Probe the fleet on its cadence, then fire every due
+                // reconnect attempt — candidate selection routes around
+                // dead/observed-down/breaker-open sites, and admission may
+                // still refuse (capacity, sessions, or a zombie site that
+                // feeds the breaker). Refusals reschedule per backoff until
+                // the rejoin budget runs out.
+                if now >= *next_probe {
+                    directory.probe_tick(now);
+                    *next_probe = now + config.probe_every;
+                }
+                for rec in reconnectors.iter_mut() {
+                    if !rec.due(now) {
+                        continue;
+                    }
+                    let p = rec.participant() as usize;
+                    let attempt = rec.take_attempt();
+                    resilience_metrics().reconnect_attempts.inc();
+                    let candidate =
+                        directory.candidate(&fabric.locations[p], &fabric.dead_sites, now);
+                    let mut admitted = None;
+                    let verdict_code = match candidate {
+                        None => {
+                            rec.on_rejected(now);
+                            2
+                        }
+                        Some(site) => match directory.try_admit(site.label, 0, p as u64, now) {
+                            AdmissionVerdict::Admitted => {
+                                admitted = Some(site);
+                                0
+                            }
+                            AdmissionVerdict::Rejected(_) => {
+                                rec.on_rejected(now);
+                                1
+                            }
+                        },
+                    };
+                    if trace::enabled() {
+                        trace::record(
+                            TraceKind::ReconnectAttempt,
+                            now.as_nanos(),
+                            trace::intern(candidate.map(|s| s.label).unwrap_or("")),
+                            p as u64,
+                            attempt as u64,
+                            verdict_code,
+                        );
+                    }
+                    if matches!(rec.phase(), ReconnectPhase::Abandoned { .. }) {
+                        resilience_metrics().reconnects_abandoned.inc();
+                    }
+                    let Some(site) = admitted else { continue };
+                    fabric.reattach(site, &[p], now);
+                    rec.on_admitted(now);
+                    if let Some(lat) = rec.rejoin_latency() {
+                        resilience_metrics()
+                            .rejoin_ms
+                            .observe(lat.as_nanos() / 1_000_000);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Where a participant cut off from its site stands: `Some(true)`
+    /// while a reattach is still coming, `Some(false)` once abandoned,
+    /// `None` if nothing accounts for them.
+    fn waiting(&self, p: usize) -> Option<bool> {
+        match self {
+            Failover::Cohort { pending, stranded } => {
+                if pending.iter().any(|(_, cohort)| cohort.contains(&p)) {
+                    Some(true)
+                } else {
+                    stranded.contains(&p).then_some(false)
+                }
+            }
+            Failover::Reconnect { reconnectors, .. } => match reconnectors
+                .iter()
+                .rev()
+                .find(|r| r.participant() == p as u64)
+                .map(|r| r.phase())
+            {
+                Some(ReconnectPhase::Waiting { .. }) => Some(true),
+                Some(ReconnectPhase::Abandoned { .. }) => Some(false),
+                _ => None,
+            },
+        }
+    }
+}
+
+/// Send- and receive-side media state, per participant.
+struct Media {
+    senders: Vec<SenderState>,
+    /// Audio senders: a QUIC stream alongside the persona stream for
+    /// spatial sessions, an RTP/Opus flow otherwise.
+    audio_quic: Vec<QuicStreamSender>,
+    audio_rtp: Vec<RtpStream>,
+    /// `receivers[r][s]`: receiver `r`'s state for sender `s` (`None` for
+    /// `r == s`). Indexed, so feedback goes out in sender order.
+    receivers: Vec<Vec<Option<ReceiverPeer>>>,
+    /// One delay+loss controller per sender when the loop is closed.
+    controllers: Vec<Option<CongestionController>>,
+    /// Loss fraction from the newest RR, paired with the next XR into one
+    /// controller signal.
+    last_rr_loss: Vec<f64>,
+    /// Spatial pacing: a per-sender byte budget refilled at the controller
+    /// target; capture ticks are skipped while it is spent.
+    pace_budget: Vec<f64>,
+    /// Capture instant of each semantic frame, per sender (frame ids are
+    /// sequential), so receivers can measure end-to-end latency.
+    frame_sent_at: Vec<Vec<SimTime>>,
+}
+
+impl Media {
+    fn new(cfg: &SessionConfig, profile: &AppProfile, persona_type: PersonaType) -> Media {
+        let n = cfg.participants.len();
+        let video = || {
+            VideoEncoderConfig::new(
+                profile.resolution_2d,
+                profile.fps_2d,
+                profile.bits_per_pixel,
+            )
+        };
+        let senders = (0..n)
             .map(|i| match persona_type {
                 PersonaType::Spatial => SenderState::Spatial {
                     capture: RgbdCapture::new(MotionConfig::default()),
@@ -714,11 +1032,7 @@ impl SessionSim {
                     quic: QuicStreamSender::new(sender_dcid(i), 0, SESSION_KEY),
                 },
                 PersonaType::TwoD => {
-                    let enc_cfg = VideoEncoderConfig::new(
-                        profile.resolution_2d,
-                        profile.fps_2d,
-                        profile.bits_per_pixel,
-                    );
+                    let enc_cfg = video();
                     let full = enc_cfg.bitrate_at(1.0);
                     SenderState::Video {
                         encoder: VideoEncoder::new(enc_cfg),
@@ -728,107 +1042,10 @@ impl SessionSim {
                 }
             })
             .collect();
-
-        // receivers[r] maps sender index → peer state.
-        let receivers: Vec<HashMap<usize, ReceiverPeer>> = (0..n)
-            .map(|r| {
-                (0..n)
-                    .filter(|&s| s != r)
-                    .map(|s| (s, ReceiverPeer::new()))
-                    .collect()
-            })
-            .collect();
-
-        // Rendering state per participant (spatial sessions, AVP devices).
-        // Seating with natural irregularity: nobody sits on an exact arc.
-        // Radius and azimuth jitter per persona, plus slow in-seat drift
-        // during the session — together these give Figure 6(a)'s triangle
-        // distributions their spread.
-        let persona_positions: Vec<_> = cfg
-            .layout
-            .positions(n - 1, 1.4)
-            .into_iter()
-            .map(|p| {
-                let scale = rng.jitter(1.0, 0.12) as f32;
-                visionsim_mesh::geometry::Vec3::new(
-                    p.x * scale + rng.normal(0.0, 0.08) as f32,
-                    p.y + rng.normal(0.0, 0.03) as f32,
-                    p.z * scale,
-                )
-            })
-            .collect();
-        let seat_drift: Vec<visionsim_mesh::geometry::Vec3> =
-            vec![visionsim_mesh::geometry::Vec3::ZERO; n - 1];
-        let pipeline = VisibilityPipeline::new(cfg.visibility);
-        let cost_model = CostModel::default();
-        // Gaze targets: the remote personas, plus a shared-content window
-        // off to the side attended ~15% of the time (FaceTime sessions
-        // share apps/whiteboards; attention regularly leaves every
-        // persona, which is what gives foveation its Figure 6 bite even in
-        // two-party calls).
-        let ambient = visionsim_mesh::geometry::Vec3::new(0.5, -0.8, -1.0);
-        let gazes: Vec<GazeDynamics> = (0..n)
-            .map(|_| {
-                let mut g =
-                    GazeDynamics::new(persona_positions.clone()).with_ambient(ambient, 0.15);
-                // Attention shifts quicken as the group grows (more people
-                // to track in conversation).
-                g.mean_dwell_s = if n > 2 { 1.4 } else { 2.0 };
-                g
-            })
-            .collect();
-        let counters: Vec<SessionCounters> = (0..n).map(|_| SessionCounters::new()).collect();
-        let availability: Vec<PersonaAvailability> =
-            (0..n).map(|_| PersonaAvailability::new()).collect();
-        let availability_log: Vec<Vec<(SimTime, PersonaState)>> = vec![Vec::new(); n];
-        let rx_bytes_since_frame: Vec<usize> = vec![0; n];
-        let semantic_frame_sizes: Vec<usize> = Vec::new();
-        // Semantic frame ids are assigned sequentially per sender; log the
-        // capture instant of each so receivers can measure end-to-end
-        // latency on completion.
-        let frame_sent_at: Vec<Vec<SimTime>> = vec![Vec::new(); n];
-        let e2e_latency_ms: Vec<visionsim_core::stats::Percentiles> =
-            (0..n).map(|_| visionsim_core::stats::Percentiles::new()).collect();
-
-        // --- Chaos state ------------------------------------------------
-        let fault_plans: Vec<(usize, FaultPlan)> = cfg.fault_plans.clone();
-        // Graceful degradation: spatial → 2D fallback per participant.
-        let ladders: Vec<DegradationLadder> =
-            (0..n).map(|_| DegradationLadder::new()).collect();
-        let mode_log: Vec<Vec<(SimTime, PersonaMode)>> = vec![Vec::new(); n];
-        let quality_log: Vec<Vec<(SimTime, f64)>> = vec![Vec::new(); n];
-        // SFU failover: sites currently dead, nodes to stop forwarding
-        // from, and the scheduled reattachments (due time, affected
-        // participants). Overlapping ServerDown faults each queue their
-        // own cohort — an earlier pending reattach is never overwritten.
-        let dead_sites: Vec<&'static str> = Vec::new();
-        let dead_nodes: HashSet<NodeId> = HashSet::new();
-        let pending_failovers: Vec<(SimTime, Vec<usize>)> = Vec::new();
-        let failovers: Vec<(SimTime, String)> = Vec::new();
-        // Resilience path: the control-plane directory plus one reconnect
-        // state machine per disconnected participant. The directory is
-        // seeded with the initial attachments so admission sees real load.
-        let directory: Option<SiteDirectory> = cfg.resilience.map(|rc| {
-            let mut dir = SiteDirectory::new(&registry, cfg.provider, rc);
-            if let Some(a) = &assignment {
-                for (p, site) in a.attachments.iter().enumerate() {
-                    dir.try_admit(site.label, 0, p as u64, SimTime::ZERO);
-                }
-            }
-            dir
-        });
-        let reconnectors: Vec<Reconnector> = Vec::new();
-        let next_probe = SimTime::ZERO;
-        // PLI recovery accounting.
-        let pli_sent = vec![0u64; n];
-        let keyframes_forced = vec![0u64; n];
-
-        // --- Congestion loop state --------------------------------------
-        // One delay+loss controller per sender when the loop is closed.
         // The spatial ceiling sits above the nominal ~0.67 Mbps persona
         // rate so an unconstrained uplink keeps full fidelity; the 2D
         // ceiling is the encoder's own top rung.
-        let controllers: Vec<Option<CongestionController>> = (0..n)
+        let controllers = (0..n)
             .map(|i| {
                 if !cfg.congestion_control {
                     return None;
@@ -840,12 +1057,7 @@ impl SessionSim {
                         DataRate::from_kbps(800),
                     ),
                     PersonaType::TwoD => {
-                        let full = VideoEncoderConfig::new(
-                            profile.resolution_2d,
-                            profile.fps_2d,
-                            profile.bits_per_pixel,
-                        )
-                        .bitrate_at(1.0);
+                        let full = video().bitrate_at(1.0);
                         (full, DataRate::from_kbps(150), full)
                     }
                 };
@@ -855,68 +1067,186 @@ impl SessionSim {
                 )
             })
             .collect();
-        // Loss fraction from the newest RR, paired with the next XR into
-        // one controller signal.
-        let last_rr_loss: Vec<f64> = vec![0.0; n];
-        // Spatial pacing: a per-sender byte budget refilled at the
-        // controller target; capture ticks are skipped while it is spent.
-        let pace_budget: Vec<f64> = vec![0.0; n];
+        Media {
+            senders,
+            audio_quic: (0..n)
+                .map(|i| QuicStreamSender::new(sender_dcid(i), 1, SESSION_KEY))
+                .collect(),
+            audio_rtp: (0..n)
+                .map(|i| {
+                    RtpStream::new(
+                        visionsim_transport::rtp::PayloadType::OpusAudio,
+                        0x1000 + i as u32,
+                        48_000,
+                    )
+                })
+                .collect(),
+            receivers: (0..n)
+                .map(|r| (0..n).map(|s| (s != r).then(ReceiverPeer::new)).collect())
+                .collect(),
+            controllers,
+            last_rr_loss: vec![0.0; n],
+            pace_budget: vec![0.0; n],
+            frame_sent_at: vec![Vec::new(); n],
+        }
+    }
+}
 
+/// What each headset renders: remote persona seats, gaze, the visibility
+/// pipeline and cost model, and the per-viewer persona state machines the
+/// feedback interval drives.
+struct RenderState {
+    persona_positions: Vec<Vec3>,
+    seat_drift: Vec<Vec3>,
+    pipeline: VisibilityPipeline,
+    cost_model: CostModel,
+    gazes: Vec<GazeDynamics>,
+    /// Bytes received since each viewer's last frame.
+    rx_bytes_since_frame: Vec<usize>,
+    availability: Vec<PersonaAvailability>,
+    /// Graceful degradation: spatial → 2D fallback per participant.
+    ladders: Vec<DegradationLadder>,
+}
+
+impl RenderState {
+    fn new(cfg: &SessionConfig, rng: &mut SimRng) -> RenderState {
+        let n = cfg.participants.len();
+        // Seating with natural irregularity: nobody sits on an exact arc.
+        // Radius and azimuth jitter per persona, plus slow in-seat drift
+        // during the session — together these give Figure 6(a)'s triangle
+        // distributions their spread.
+        let persona_positions: Vec<Vec3> = cfg
+            .layout
+            .positions(n - 1, 1.4)
+            .into_iter()
+            .map(|p| {
+                let scale = rng.jitter(1.0, 0.12) as f32;
+                Vec3::new(
+                    p.x * scale + rng.normal(0.0, 0.08) as f32,
+                    p.y + rng.normal(0.0, 0.03) as f32,
+                    p.z * scale,
+                )
+            })
+            .collect();
+        // Gaze targets: the remote personas, plus a shared-content window
+        // off to the side attended ~15% of the time (FaceTime sessions
+        // share apps/whiteboards; attention regularly leaves every
+        // persona, which is what gives foveation its Figure 6 bite even in
+        // two-party calls).
+        let ambient = Vec3::new(0.5, -0.8, -1.0);
+        let gazes = (0..n)
+            .map(|_| {
+                let mut g =
+                    GazeDynamics::new(persona_positions.clone()).with_ambient(ambient, 0.15);
+                // Attention shifts quicken as the group grows (more people
+                // to track in conversation).
+                g.mean_dwell_s = if n > 2 { 1.4 } else { 2.0 };
+                g
+            })
+            .collect();
+        RenderState {
+            persona_positions,
+            seat_drift: vec![Vec3::ZERO; n - 1],
+            pipeline: VisibilityPipeline::new(cfg.visibility),
+            cost_model: CostModel::default(),
+            gazes,
+            rx_bytes_since_frame: vec![0; n],
+            availability: (0..n).map(|_| PersonaAvailability::new()).collect(),
+            ladders: (0..n).map(|_| DegradationLadder::new()).collect(),
+        }
+    }
+}
+
+/// What the session reports in its [`SessionOutcome`], accumulated tick
+/// by tick.
+struct Accounting {
+    counters: Vec<SessionCounters>,
+    availability_log: Vec<Vec<(SimTime, PersonaState)>>,
+    semantic_frame_sizes: Vec<usize>,
+    e2e_latency_ms: Vec<Percentiles>,
+    mode_log: Vec<Vec<(SimTime, PersonaMode)>>,
+    quality_log: Vec<Vec<(SimTime, f64)>>,
+    pli_sent: Vec<u64>,
+    keyframes_forced: Vec<u64>,
+}
+
+impl Accounting {
+    fn new(n: usize) -> Accounting {
+        Accounting {
+            counters: (0..n).map(|_| SessionCounters::new()).collect(),
+            availability_log: vec![Vec::new(); n],
+            semantic_frame_sizes: Vec::new(),
+            e2e_latency_ms: (0..n).map(|_| Percentiles::new()).collect(),
+            mode_log: vec![Vec::new(); n],
+            quality_log: vec![Vec::new(); n],
+            pli_sent: vec![0; n],
+            keyframes_forced: vec![0; n],
+        }
+    }
+}
+
+/// The session engine as an incremental stepper.
+///
+/// [`SessionRunner::run`] drives it to completion for the batch path; the
+/// live service drives it one [`step_tick`](SessionSim::step_tick) at a
+/// time, slaved to a wall clock, injecting faults between ticks via
+/// [`inject_fault`](SessionSim::inject_fault). Each tick runs a fixed
+/// sequence of phases over the owned sub-states; one `rng` is shared by
+/// the send and render phases, in that order.
+pub struct SessionSim {
+    config: SessionConfig,
+    n: usize,
+    persona_type: PersonaType,
+    rng: SimRng,
+    fabric: Fabric,
+    fault_plans: Vec<(usize, FaultPlan)>,
+    failover: Failover,
+    media: Media,
+    render: RenderState,
+    acct: Accounting,
+    tick: SimDuration,
+    total_ticks: u64,
+    feedback_every: u64,
+    t: u64,
+}
+
+impl SessionSim {
+    /// Build the session world: topology, media state, chaos state, and
+    /// the congestion loop — everything up to (but not including) the
+    /// first tick.
+    pub fn new(config: SessionConfig) -> SessionSim {
+        assert!(
+            config.participants.len() >= 2,
+            "a session needs at least two participants"
+        );
+        let n = config.participants.len();
+        let profile = AppProfile::of(config.provider);
+        let devices: Vec<Device> = config
+            .participants
+            .iter()
+            .map(|p| Device::new(p.device, &p.name))
+            .collect();
+        let persona_type = profile.persona_type(&devices);
+        let topology = profile.topology(&devices);
+        let mut rng = SimRng::seed_from_u64(config.seed);
+        let fabric = Fabric::new(&config, topology);
+        let media = Media::new(&config, &profile, persona_type);
+        let render = RenderState::new(&config, &mut rng);
+        let failover = Failover::new(&config, &fabric);
         let tick = SimDuration::FRAME_90FPS;
-        let total_ticks = cfg.duration.as_nanos() / tick.as_nanos();
-        let feedback_every = 90u64; // ~1 s
         SessionSim {
             n,
             persona_type,
-            topology,
             rng,
-            latency,
-            net,
-            clients,
-            aps,
-            tap_ids,
-            access_links,
-            registry,
-            locations,
-            site_nodes,
-            backbone_pairs,
-            assignment,
-            servers,
-            audio_quic,
-            audio_rtp,
-            senders,
-            receivers,
-            persona_positions,
-            seat_drift,
-            pipeline,
-            cost_model,
-            gazes,
-            counters,
-            availability,
-            availability_log,
-            rx_bytes_since_frame,
-            semantic_frame_sizes,
-            frame_sent_at,
-            e2e_latency_ms,
-            fault_plans,
-            ladders,
-            mode_log,
-            quality_log,
-            dead_sites,
-            dead_nodes,
-            pending_failovers,
-            failovers,
-            directory,
-            reconnectors,
-            next_probe,
-            pli_sent,
-            keyframes_forced,
-            controllers,
-            last_rr_loss,
-            pace_budget,
+            fabric,
+            fault_plans: config.fault_plans.clone(),
+            failover,
+            media,
+            render,
+            acct: Accounting::new(n),
             tick,
-            total_ticks,
-            feedback_every,
+            total_ticks: config.duration.as_nanos() / tick.as_nanos(),
+            feedback_every: 90, // ~1 s
             t: 0,
             config,
         }
@@ -963,903 +1293,513 @@ impl SessionSim {
     /// Advance the session by one display tick (1/90 s of simulated
     /// time). A no-op once [`done`](SessionSim::done) reports true.
     pub fn step_tick(&mut self) {
-        if self.t >= self.total_ticks {
+        if self.done() {
             return;
         }
-        let SessionSim {
-            config,
-            n,
-            persona_type,
-            topology,
-            rng,
-            latency,
-            net,
-            clients,
-            aps,
-            access_links,
-            registry,
-            locations,
-            site_nodes,
-            backbone_pairs,
-            servers,
-            audio_quic,
-            audio_rtp,
-            senders,
-            receivers,
-            persona_positions,
-            seat_drift,
-            pipeline,
-            cost_model,
-            gazes,
-            counters,
-            availability,
-            availability_log,
-            rx_bytes_since_frame,
-            semantic_frame_sizes,
-            frame_sent_at,
-            e2e_latency_ms,
-            fault_plans,
-            ladders,
-            mode_log,
-            quality_log,
-            dead_sites,
-            dead_nodes,
-            pending_failovers,
-            failovers,
-            directory,
-            reconnectors,
-            next_probe,
-            pli_sent,
-            keyframes_forced,
-            controllers,
-            last_rr_loss,
-            pace_budget,
-            tick,
-            feedback_every,
-            t,
-            ..
-        } = self;
-        let cfg: &SessionConfig = config;
-        // The body below is the former monolithic loop body, verbatim:
-        // the scalar copies keep the loop's local names compiling.
-        let n = *n;
-        let persona_type = *persona_type;
-        let topology = *topology;
-        let tick = *tick;
-        let feedback_every = *feedback_every;
-        let t = *t;
-        {
-            let now = SimTime::from_nanos(t * tick.as_nanos());
+        let now = self.now();
+        self.apply_faults(now);
+        self.run_control_plane(now);
+        self.send_media(now);
+        self.send_audio(now);
+        // Let the network move everything submitted this tick.
+        self.fabric.net.run_until(now + self.tick);
+        self.forward();
+        self.receive(now);
+        self.render_frames(now);
+        if self.feedback_due() {
+            self.feedback(now);
+        }
+        self.t += 1;
+    }
 
-            // Chaos engine: apply every fault event due by now.
-            for (idx, plan) in fault_plans.iter_mut() {
-                let due: Vec<FaultEvent> = plan.due(now).to_vec();
-                for ev in due {
-                    if ev.kind.is_recovery() {
-                        vca_metrics().fault_recoveries.inc();
+    /// Whether this tick closes a feedback interval (~1 s).
+    fn feedback_due(&self) -> bool {
+        self.t > 0 && self.t.is_multiple_of(self.feedback_every)
+    }
+
+    /// Chaos engine: apply every fault event due by `now`.
+    fn apply_faults(&mut self, now: SimTime) {
+        for (idx, plan) in self.fault_plans.iter_mut() {
+            for ev in plan.due(now) {
+                if ev.kind.is_recovery() {
+                    vca_metrics().fault_recoveries.inc();
+                } else {
+                    vca_metrics().fault_onsets.inc();
+                }
+                if trace::enabled() {
+                    let kind = if ev.kind.is_recovery() {
+                        TraceKind::FaultRecovery
                     } else {
-                        vca_metrics().fault_onsets.inc();
+                        TraceKind::FaultOnset
+                    };
+                    let name = trace::intern(ev.kind.name());
+                    trace::record(kind, now.as_nanos(), name, *idx as u64, 0, 0);
+                }
+                let (up, down) = self.fabric.access_links[*idx];
+                let net = &mut self.fabric.net;
+                match ev.kind {
+                    // Take out the SFU site this participant is attached
+                    // to; everyone attached there goes dark until the
+                    // failover scheduler reattaches them.
+                    FaultKind::ServerDown { detect, reconnect } => {
+                        if let Some((label, affected)) = self.fabric.kill_server(*idx) {
+                            let due = now + detect + reconnect;
+                            self.failover.on_server_down(
+                                label,
+                                affected,
+                                now,
+                                due,
+                                self.config.seed,
+                            );
+                        }
                     }
-                    if trace::enabled() {
-                        let kind = if ev.kind.is_recovery() {
-                            TraceKind::FaultRecovery
+                    // Radio outages cut both directions of the access
+                    // link; every other impairment applies at the uplink
+                    // egress, where tc attaches.
+                    FaultKind::LinkDown | FaultKind::LinkUp => {
+                        apply_to_netem(net.netem_mut(up), &ev.kind);
+                        apply_to_netem(net.netem_mut(down), &ev.kind);
+                    }
+                    _ => apply_to_netem(net.netem_mut(up), &ev.kind),
+                }
+            }
+        }
+    }
+
+    /// Control plane: run the session's failover scheduler, then (on the
+    /// feedback cadence) check participant conservation.
+    fn run_control_plane(&mut self, now: SimTime) {
+        self.failover
+            .reattach_due(&mut self.fabric, self.config.provider, now);
+        if self.fabric.topology == Topology::Sfu && self.feedback_due() {
+            self.check_conservation();
+        }
+    }
+
+    /// Participant conservation: nobody has vanished — every participant
+    /// is attached to a live site, waiting on a reattach, or abandoned.
+    fn check_conservation(&self) {
+        let (mut attached, mut reconnecting, mut abandoned) = (0usize, 0usize, 0usize);
+        for (p, server) in self.fabric.servers.iter().enumerate() {
+            if !self.fabric.dead_nodes.contains(server) {
+                attached += 1;
+                continue;
+            }
+            match self.failover.waiting(p) {
+                Some(true) => reconnecting += 1,
+                Some(false) => abandoned += 1,
+                None => {}
+            }
+        }
+        let n = self.n;
+        sanitizer::check(
+            attached + reconnecting + abandoned == n,
+            "vca/participant_conservation",
+            || {
+                format!(
+                    "attached {attached} + reconnecting {reconnecting} \
+                     + abandoned {abandoned} != joined {n}"
+                )
+            },
+        );
+    }
+
+    /// Send phase, media: one semantic frame per tick (paced when the
+    /// congestion loop is closed) or one 2D video frame every third tick.
+    fn send_media(&mut self, now: SimTime) {
+        let media = &mut self.media;
+        for (i, state) in media.senders.iter_mut().enumerate() {
+            match state {
+                SenderState::Spatial {
+                    capture,
+                    codec,
+                    packetizer,
+                    quic,
+                } => {
+                    // Controller pacing: the budget refills at the target
+                    // rate (capped at ~100 ms of burst) and a frame spends
+                    // its wire bytes; capture ticks are skipped while the
+                    // budget is in deficit. Frame ids stay aligned because
+                    // a skipped tick assigns no id.
+                    let paced = media.controllers[i].is_some();
+                    if let Some(ctrl) = &media.controllers[i] {
+                        let refill = ctrl.target().as_bps() as f64 / 8.0 * self.tick.as_secs_f64();
+                        let budget = &mut media.pace_budget[i];
+                        *budget = (*budget + refill).min(refill * 9.0);
+                        if *budget < 0.0 {
+                            continue;
+                        }
+                    }
+                    let frame = capture.next_frame(&mut self.rng).persona_subset();
+                    let payload = codec.encode(&frame);
+                    self.acct.semantic_frame_sizes.push(payload.len());
+                    media.frame_sent_at[i].push(now);
+                    let ports = PortPair::new(MEDIA_PORT_BASE + i as u16, QUIC_PORT);
+                    for frag in packetizer.split(&payload) {
+                        let wire = quic.send(frag.to_bytes());
+                        if paced {
+                            media.pace_budget[i] -= wire.len() as f64;
+                        }
+                        self.fabric.send_up(i, ports, wire);
+                    }
+                }
+                SenderState::Video { encoder, rtp, .. } => {
+                    // 2D persona runs at 30 FPS: every third tick.
+                    if !self.t.is_multiple_of(3) {
+                        continue;
+                    }
+                    let size = encoder.next_frame(&mut self.rng).as_bytes() as usize;
+                    let chunks = size.div_ceil(1_200).max(1);
+                    for c in 0..chunks {
+                        let last = c + 1 == chunks;
+                        let len = if last {
+                            size - 1_200 * (chunks - 1)
                         } else {
-                            TraceKind::FaultOnset
+                            1_200
                         };
-                        trace::record(
-                            kind,
-                            now.as_nanos(),
-                            trace::intern(ev.kind.name()),
-                            *idx as u64,
-                            0,
-                            0,
-                        );
-                    }
-                    let (up, down) = access_links[*idx];
-                    match ev.kind {
-                        FaultKind::ServerDown { detect, reconnect } => {
-                            // Take out the SFU site this participant is
-                            // attached to; everyone attached there goes
-                            // dark until the reconnect completes.
-                            if topology != Topology::Sfu {
-                                continue;
-                            }
-                            let victim = servers[*idx];
-                            if dead_nodes.contains(&victim) {
-                                continue;
-                            }
-                            dead_nodes.insert(victim);
-                            let victim_label = site_nodes
-                                .iter()
-                                .find(|(_, &node)| node == victim)
-                                .map(|(&label, _)| label);
-                            if let Some(label) = victim_label {
-                                dead_sites.push(label);
-                            }
-                            for lid in net.links_of(victim) {
-                                net.set_down(lid, true);
-                            }
-                            let affected: Vec<usize> =
-                                (0..n).filter(|&p| servers[p] == victim).collect();
-                            match (directory.as_mut(), cfg.resilience.as_ref()) {
-                                (Some(dir), Some(rc)) => {
-                                    // Resilience path: the directory learns
-                                    // the outage (ground truth; probes lag)
-                                    // and every stranded participant gets a
-                                    // reconnect state machine. The first
-                                    // attempt fires after the same
-                                    // detect + reconnect lag the legacy
-                                    // path waits out.
-                                    if let Some(label) = victim_label {
-                                        dir.set_site_up(label, false);
-                                        for _ in &affected {
-                                            dir.detach(label, 0);
-                                        }
-                                    }
-                                    for &p in &affected {
-                                        let waiting = reconnectors.iter().any(|r| {
-                                            r.participant() == p as u64
-                                                && matches!(
-                                                    r.phase(),
-                                                    ReconnectPhase::Waiting { .. }
-                                                )
-                                        });
-                                        if !waiting {
-                                            reconnectors.push(Reconnector::new(
-                                                p as u64,
-                                                now,
-                                                now + detect + reconnect,
-                                                rc.backoff,
-                                                rc.rejoin_budget,
-                                                cfg.seed,
-                                            ));
-                                        }
-                                    }
-                                }
-                                _ => {
-                                    pending_failovers
-                                        .push((now + detect + reconnect, affected));
-                                }
-                            }
-                        }
-                        // Radio outages cut both directions of the access
-                        // link; every other impairment applies at the
-                        // uplink egress, where tc attaches.
-                        FaultKind::LinkDown | FaultKind::LinkUp => {
-                            apply_to_netem(net.netem_mut(up), &ev.kind);
-                            apply_to_netem(net.netem_mut(down), &ev.kind);
-                        }
-                        _ => apply_to_netem(net.netem_mut(up), &ev.kind),
+                        let pkt = rtp.packetize(now.as_secs_f64(), vec![0xAB; len], last);
+                        let ports = PortPair::new(MEDIA_PORT_BASE + i as u16, RTP_PORT);
+                        self.fabric.send_up(i, ports, pkt.to_bytes());
                     }
                 }
             }
+        }
+    }
 
-            // SFU failover (legacy path): reattach each due cohort to the
-            // next-nearest live site once its reconnection gap elapses.
-            while let Some(pos) = pending_failovers
-                .iter()
-                .position(|(due_at, _)| now >= *due_at)
-            {
-                let (_, affected) = pending_failovers.remove(pos);
-                {
-                    if let Some(site) =
-                        failover_site(registry, cfg.provider, &locations[0], dead_sites)
-                    {
-                        let node = *site_nodes.entry(site.label).or_insert_with(|| {
-                            net.add_node(
-                                &format!("{} {}", site.provider, site.label),
-                                &format!("{}", site.provider),
-                                site.location(),
-                            )
-                        });
-                        for &p in &affected {
-                            let d = latency.one_way(&locations[p], &site.location());
-                            net.add_duplex(aps[p], node, LinkConfig::core(d));
-                            servers[p] = node;
-                        }
-                        // Extend the backbone to every other live site.
-                        let others: Vec<NodeId> = site_nodes
-                            .values()
-                            .copied()
-                            .filter(|&s| s != node && !dead_nodes.contains(&s))
-                            .collect();
-                        for other in others {
-                            let pair = (node.min(other), node.max(other));
-                            if backbone_pairs.insert(pair) {
-                                let d = latency
-                                    .one_way(
-                                        &site.location(),
-                                        &net.geodb()
-                                            .lookup(net.addr(other))
-                                            .map(|e| e.location)
-                                            .unwrap_or_else(|| site.location()),
-                                    )
-                                    .mul_f64(0.8);
-                                net.add_duplex(node, other, LinkConfig::core(d));
-                            }
-                        }
-                        vca_metrics().failovers.inc();
-                        if trace::enabled() {
-                            trace::record(
-                                TraceKind::SfuFailover,
-                                now.as_nanos(),
-                                trace::intern(site.label),
-                                affected.len() as u64,
-                                0,
-                                0,
-                            );
-                        }
-                        failovers.push((now, site.label.to_string()));
+    /// Send phase, audio: every participant talks intermittently; the
+    /// audio stream runs regardless of persona availability.
+    fn send_audio(&mut self, now: SimTime) {
+        if !self.t.is_multiple_of(AUDIO_EVERY_TICKS) {
+            return;
+        }
+        for i in 0..self.n {
+            // Both framers hand back one shared wire image per frame; the
+            // network send shares it without copying.
+            let (wire, dst_port): (std::sync::Arc<[u8]>, u16) = match self.persona_type {
+                PersonaType::Spatial => (
+                    self.media.audio_quic[i].send(vec![0x0A; AUDIO_PAYLOAD]),
+                    QUIC_PORT,
+                ),
+                PersonaType::TwoD => (
+                    self.media.audio_rtp[i]
+                        .packetize(now.as_secs_f64(), vec![0x0A; AUDIO_PAYLOAD], true)
+                        .to_bytes()
+                        .into(),
+                    RTP_PORT,
+                ),
+            };
+            let ports = PortPair::new(AUDIO_PORT_BASE + i as u16, dst_port);
+            self.fabric.send_up(i, ports, wire);
+        }
+    }
+
+    /// SFU forwarding: live servers relay to every other participant; dead
+    /// sites forward nothing, and whatever was in flight toward them is
+    /// dropped.
+    fn forward(&mut self) {
+        let fabric = &mut self.fabric;
+        if fabric.topology != Topology::Sfu {
+            return;
+        }
+        for &dn in &fabric.dead_nodes {
+            fabric.net.drain_delivered(dn).for_each(drop);
+        }
+        let mut server_list = fabric.servers.clone();
+        server_list.sort_unstable();
+        server_list.dedup();
+        for server in server_list {
+            if fabric.dead_nodes.contains(&server) {
+                continue;
+            }
+            for d in fabric.net.poll_delivered(server) {
+                let Some((sender, _)) = sender_of(d.packet.ports.src, self.n) else {
+                    continue;
+                };
+                for (r, &client) in fabric.clients.iter().enumerate() {
+                    if r != sender {
+                        fabric
+                            .net
+                            .send(server, client, d.packet.ports, d.packet.payload.clone());
                     }
-                    // No live site left: the session stays dark — degraded,
-                    // not aborted.
                 }
             }
+        }
+        fabric.net.run_until(fabric.net.now());
+    }
 
-            // Resilience path: probe the fleet on its cadence, then fire
-            // every due reconnect attempt — candidate selection routes
-            // around dead/observed-down/breaker-open sites, and admission
-            // may still refuse (capacity, sessions, or a zombie site that
-            // feeds the breaker). Refusals reschedule per backoff until
-            // the rejoin budget runs out.
-            if let (Some(dir), Some(rc)) = (directory.as_mut(), cfg.resilience.as_ref()) {
-                if now >= *next_probe {
-                    dir.probe_tick(now);
-                    *next_probe = now + rc.probe_every;
+    /// Receive phase: media into each receiver's per-sender state, and
+    /// RTCP into the sender it reports on.
+    fn receive(&mut self, now: SimTime) {
+        for r in 0..self.n {
+            for d in self.fabric.net.poll_delivered(self.fabric.clients[r]) {
+                let Some((sender, kind)) = sender_of(d.packet.ports.src, self.n) else {
+                    continue;
+                };
+                if kind == StreamKind::Feedback {
+                    if !d.packet.corrupted {
+                        self.on_rtcp(r, &d.packet.payload, now);
+                    }
+                    continue;
                 }
-                for rec in reconnectors.iter_mut() {
-                    if !rec.due(now) {
-                        continue;
-                    }
-                    let p = rec.participant() as usize;
-                    let attempt = rec.take_attempt();
-                    resilience_metrics().reconnect_attempts.inc();
-                    let candidate = dir.candidate(&locations[p], dead_sites, now);
-                    let mut admitted = None;
-                    let verdict_code = match candidate {
-                        None => {
-                            rec.on_rejected(now);
-                            2
-                        }
-                        Some(site) => match dir.try_admit(site.label, 0, p as u64, now) {
-                            AdmissionVerdict::Admitted => {
-                                admitted = Some(site);
-                                0
-                            }
-                            AdmissionVerdict::Rejected(_) => {
-                                rec.on_rejected(now);
-                                1
-                            }
-                        },
-                    };
-                    if trace::enabled() {
-                        trace::record(
-                            TraceKind::ReconnectAttempt,
-                            now.as_nanos(),
-                            trace::intern(candidate.map(|s| s.label).unwrap_or("")),
-                            p as u64,
-                            attempt as u64,
-                            verdict_code,
-                        );
-                    }
-                    if matches!(rec.phase(), ReconnectPhase::Abandoned { .. }) {
-                        resilience_metrics().reconnects_abandoned.inc();
-                    }
-                    let Some(site) = admitted else { continue };
-                    // Reattach: same wiring as the legacy path, but
-                    // anchored on the participant's own location and with
-                    // the backbone extension in sorted order (several
-                    // participants can land on different sites the same
-                    // tick).
-                    let node = *site_nodes.entry(site.label).or_insert_with(|| {
-                        net.add_node(
-                            &format!("{} {}", site.provider, site.label),
-                            &format!("{}", site.provider),
-                            site.location(),
-                        )
-                    });
-                    let d = latency.one_way(&locations[p], &site.location());
-                    net.add_duplex(aps[p], node, LinkConfig::core(d));
-                    servers[p] = node;
-                    let mut others: Vec<NodeId> = site_nodes
-                        .values()
-                        .copied()
-                        .filter(|&s| s != node && !dead_nodes.contains(&s))
-                        .collect();
-                    others.sort();
-                    for other in others {
-                        let pair = (node.min(other), node.max(other));
-                        if backbone_pairs.insert(pair) {
-                            let d = latency
-                                .one_way(
-                                    &site.location(),
-                                    &net.geodb()
-                                        .lookup(net.addr(other))
-                                        .map(|e| e.location)
-                                        .unwrap_or_else(|| site.location()),
-                                )
-                                .mul_f64(0.8);
-                            net.add_duplex(node, other, LinkConfig::core(d));
-                        }
-                    }
-                    rec.on_admitted(now);
-                    if let Some(lat) = rec.rejoin_latency() {
-                        resilience_metrics()
-                            .rejoin_ms
-                            .observe(lat.as_nanos() / 1_000_000);
-                    }
-                    vca_metrics().failovers.inc();
-                    if trace::enabled() {
-                        trace::record(
-                            TraceKind::SfuFailover,
-                            now.as_nanos(),
-                            trace::intern(site.label),
-                            1,
-                            0,
-                            0,
-                        );
-                    }
-                    failovers.push((now, site.label.to_string()));
+                let Some(peer) = self.media.receivers[r][sender].as_mut() else {
+                    continue;
+                };
+                peer.on_arrival(d.at, d.packet.wire_size().as_bytes());
+                self.render.rx_bytes_since_frame[r] += d.packet.payload.len();
+                if d.packet.corrupted || kind == StreamKind::Audio {
+                    continue; // audio decodes out of band of this study
                 }
-                // Participant conservation: once per feedback interval the
-                // sanitizer checks nobody has vanished — every participant
-                // is attached to a live site, waiting on a reconnect
-                // machine, or abandoned.
-                if topology == Topology::Sfu && t > 0 && t % feedback_every == 0 {
-                    let mut attached = 0usize;
-                    let mut reconnecting = 0usize;
-                    let mut abandoned = 0usize;
-                    for (p, server) in servers.iter().enumerate().take(n) {
-                        if !dead_nodes.contains(server) {
-                            attached += 1;
+                match self.persona_type {
+                    PersonaType::Spatial => {
+                        let Some(quic_pkt) = QuicPacket::parse(&d.packet.payload, &SESSION_KEY)
+                        else {
                             continue;
-                        }
-                        match reconnectors
-                            .iter()
-                            .rev()
-                            .find(|r| r.participant() == p as u64)
-                            .map(|r| r.phase())
-                        {
-                            Some(ReconnectPhase::Waiting { .. }) => reconnecting += 1,
-                            Some(ReconnectPhase::Abandoned { .. }) => abandoned += 1,
-                            _ => {}
-                        }
-                    }
-                    sanitizer::check(
-                        attached + reconnecting + abandoned == n,
-                        "vca/participant_conservation",
-                        || {
-                            format!(
-                                "attached {attached} + reconnecting {reconnecting} \
-                                 + abandoned {abandoned} != joined {n}"
-                            )
-                        },
-                    );
-                }
-            }
-
-            // Senders.
-            for (i, state) in senders.iter_mut().enumerate() {
-                match state {
-                    SenderState::Spatial {
-                        capture,
-                        codec,
-                        packetizer,
-                        quic,
-                    } => {
-                        // Controller pacing: the budget refills at the
-                        // target rate (capped at ~100 ms of burst) and a
-                        // frame spends its wire bytes; capture ticks are
-                        // skipped while the budget is in deficit. Frame
-                        // ids stay aligned because a skipped tick assigns
-                        // no id.
-                        if let Some(ctrl) = &controllers[i] {
-                            let refill =
-                                ctrl.target().as_bps() as f64 / 8.0 * tick.as_secs_f64();
-                            pace_budget[i] = (pace_budget[i] + refill).min(refill * 9.0);
-                            if pace_budget[i] < 0.0 {
+                        };
+                        let (QuicPacket::Short { frames, .. } | QuicPacket::Long { frames, .. }) =
+                            quic_pkt;
+                        for f in frames {
+                            let QuicFrame::Stream { data, .. } = f else {
                                 continue;
-                            }
-                        }
-                        let frame = capture.next_frame(rng).persona_subset();
-                        let payload = codec.encode(&frame);
-                        semantic_frame_sizes.push(payload.len());
-                        frame_sent_at[i].push(now);
-                        let dst = match topology {
-                            Topology::Sfu => servers[i],
-                            Topology::P2P => clients[1 - i],
-                        };
-                        for frag in packetizer.split(&payload) {
-                            let wire = quic.send(frag.to_bytes());
-                            if controllers[i].is_some() {
-                                pace_budget[i] -= wire.len() as f64;
-                            }
-                            net.send(
-                                clients[i],
-                                dst,
-                                PortPair::new(5_000 + i as u16, QUIC_PORT),
-                                wire,
-                            );
-                        }
-                    }
-                    SenderState::Video { encoder, rtp, .. } => {
-                        // 2D persona runs at 30 FPS: every third tick.
-                        if t % 3 != 0 {
-                            continue;
-                        }
-                        let size = encoder.next_frame(rng).as_bytes() as usize;
-                        let dst = match topology {
-                            Topology::Sfu => servers[i],
-                            Topology::P2P => clients[1 - i],
-                        };
-                        let chunks = size.div_ceil(1_200).max(1);
-                        for c in 0..chunks {
-                            let len = if c + 1 == chunks {
-                                size - 1_200 * (chunks - 1)
-                            } else {
-                                1_200
                             };
-                            let pkt = rtp
-                                .packetize(
-                                    now.as_secs_f64(),
-                                    vec![0xAB; len],
-                                    c + 1 == chunks,
-                                )
-                                .to_bytes();
-                            net.send(
-                                clients[i],
-                                dst,
-                                PortPair::new(5_000 + i as u16, RTP_PORT),
-                                pkt,
-                            );
-                        }
-                    }
-                }
-            }
-
-            // Audio: every participant talks intermittently; the audio
-            // stream runs regardless of persona availability.
-            if t % AUDIO_EVERY_TICKS == 0 {
-                for i in 0..n {
-                    let dst = match topology {
-                        Topology::Sfu => servers[i],
-                        Topology::P2P => clients[1 - i],
-                    };
-                    // Both framers hand back one shared wire image per
-                    // frame; the network send below shares it without
-                    // copying.
-                    let (wire, dst_port): (std::sync::Arc<[u8]>, u16) = match persona_type {
-                        PersonaType::Spatial => {
-                            (audio_quic[i].send(vec![0x0A; AUDIO_PAYLOAD]), QUIC_PORT)
-                        }
-                        PersonaType::TwoD => (
-                            audio_rtp[i]
-                                .packetize(now.as_secs_f64(), vec![0x0A; AUDIO_PAYLOAD], true)
-                                .to_bytes()
-                                .into(),
-                            RTP_PORT,
-                        ),
-                    };
-                    net.send(
-                        clients[i],
-                        dst,
-                        PortPair::new(AUDIO_PORT_BASE + i as u16, dst_port),
-                        wire,
-                    );
-                }
-            }
-
-            // Let the network move everything submitted this tick.
-            net.run_until(now + tick);
-
-            // SFU forwarding: servers relay to every other participant.
-            if topology == Topology::Sfu {
-                // Dead sites forward nothing; drain whatever was already
-                // in flight toward them.
-                let drained: Vec<NodeId> = dead_nodes.iter().copied().collect();
-                for dn in drained {
-                    net.poll_delivered(dn);
-                }
-                let mut server_list = servers.clone();
-                server_list.sort_unstable();
-                server_list.dedup();
-                for server in server_list {
-                    if dead_nodes.contains(&server) {
-                        continue;
-                    }
-                    for d in net.poll_delivered(server) {
-                        let Some((sender, _)) = sender_of(d.packet.ports.src, n) else {
-                            continue;
-                        };
-                        for (r, &client) in clients.iter().enumerate() {
-                            if r != sender {
-                                net.send(server, client, d.packet.ports, d.packet.payload.clone());
-                            }
-                        }
-                    }
-                }
-                net.run_until(net.now());
-            }
-
-            // Receivers (and, for RTCP, the senders being reported on).
-            for r in 0..n {
-                for d in net.poll_delivered(clients[r]) {
-                    let Some((sender, kind)) = sender_of(d.packet.ports.src, n) else {
-                        continue;
-                    };
-                    // RTCP arriving here means *this* node's outgoing
-                    // stream is being reported on: close the loop.
-                    if kind == StreamKind::Feedback {
-                        if d.packet.corrupted {
-                            continue;
-                        }
-                        // PLI: the remote receiver lost decode state and
-                        // asks this sender for a fresh keyframe.
-                        if let Some(pli) =
-                            visionsim_transport::rtcp::PliPacket::parse(&d.packet.payload)
-                        {
-                            if pli.source_ssrc == r as u32 + 1 {
-                                if let SenderState::Video { encoder, .. } = &mut senders[r] {
-                                    encoder.force_keyframe();
-                                    keyframes_forced[r] += 1;
-                                    vca_metrics().keyframes_forced.inc();
-                                }
-                            }
-                            continue;
-                        }
-                        if let Some(rr) =
-                            visionsim_transport::rtcp::ReceiverReportPacket::parse(
-                                &d.packet.payload,
-                            )
-                        {
-                            if rr.source_ssrc == r as u32 + 1 {
-                                last_rr_loss[r] = rr.loss();
-                                if let SenderState::Video {
-                                    encoder,
-                                    controller,
-                                    ..
-                                } = &mut senders[r]
-                                {
-                                    let report = ReceiverReport {
-                                        received_bytes: rr.received_bytes as u64,
-                                        loss: rr.loss(),
-                                        interval_s: 1.0,
-                                    };
-                                    let target = controller.on_report(&report);
-                                    encoder.adapt_to(target);
-                                }
-                            }
-                            continue;
-                        }
-                        // XR extended report: the delay/rate half of the
-                        // congestion signal. Paired with the loss from the
-                        // RR that rode the same cadence (it arrives just
-                        // ahead on the same FIFO path).
-                        if let Some(xr) =
-                            visionsim_transport::rtcp::XrPacket::parse(&d.packet.payload)
-                        {
-                            if xr.source_ssrc == r as u32 + 1 {
-                                if let Some(ctrl) = &mut controllers[r] {
-                                    let sig = CongestionSignals {
-                                        loss: last_rr_loss[r],
-                                        arrival: DataRate::from_kbps(xr.arrival_kbps as u64),
-                                        queue_delay_us: xr.jitter_us as u64,
-                                    };
-                                    let target = ctrl.on_report(now, &sig);
-                                    if trace::enabled() {
-                                        trace::record(
-                                            TraceKind::RtcpReport,
-                                            now.as_nanos(),
-                                            0,
-                                            r as u64,
-                                            (last_rr_loss[r] * 1_000.0).round() as u64,
-                                            xr.arrival_kbps as u64,
-                                        );
-                                    }
-                                    if let SenderState::Video { encoder, .. } =
-                                        &mut senders[r]
-                                    {
-                                        encoder.adapt_to(target);
-                                    }
-                                }
-                            }
-                        }
-                        continue;
-                    }
-                    let Some(peer) = receivers[r].get_mut(&sender) else {
-                        continue;
-                    };
-                    peer.interval_bytes += d.packet.wire_size().as_bytes();
-                    peer.on_arrival(d.at, d.packet.wire_size().as_bytes());
-                    rx_bytes_since_frame[r] += d.packet.payload.len();
-                    if d.packet.corrupted {
-                        continue;
-                    }
-                    if kind == StreamKind::Audio {
-                        continue; // audio decodes out of band of this study
-                    }
-                    match persona_type {
-                        PersonaType::Spatial => {
-                            if let Some(quic_pkt) = visionsim_transport::quic::QuicPacket::parse(
-                                &d.packet.payload,
-                                &SESSION_KEY,
-                            ) {
-                                let frames = match quic_pkt {
-                                    visionsim_transport::quic::QuicPacket::Short {
-                                        frames, ..
-                                    } => frames,
-                                    visionsim_transport::quic::QuicPacket::Long {
-                                        frames, ..
-                                    } => frames,
-                                };
-                                for f in frames {
-                                    if let visionsim_transport::quic::QuicFrame::Stream {
-                                        data,
-                                        ..
-                                    } = f
-                                    {
-                                        if let Some(frag) = Fragment::parse(&data) {
-                                            if let Some((frame_id, payload)) =
-                                                peer.assembler.push(frag)
-                                            {
-                                                peer.on_frame_complete(frame_id);
-                                                if let Some(&sent) = frame_sent_at
-                                                    [sender]
-                                                    .get(frame_id as usize)
-                                                {
-                                                    e2e_latency_ms[r].push(
-                                                        d.at.since(sent).as_millis_f64(),
-                                                    );
-                                                }
-                                                let _ = peer.codec.decode(&payload);
-                                            }
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                        PersonaType::TwoD => {
-                            if let Some(pkt) =
-                                visionsim_transport::rtp::RtpPacket::parse(&d.packet.payload)
+                            let Some(frag) = Fragment::parse(&data) else {
+                                continue;
+                            };
+                            let Some((frame_id, payload)) = peer.assembler.push(frag) else {
+                                continue;
+                            };
+                            peer.on_frame_complete(frame_id);
+                            if let Some(&sent) =
+                                self.media.frame_sent_at[sender].get(frame_id as usize)
                             {
-                                let seq = pkt.header.seq;
-                                let mut gap_seen = false;
-                                if let Some(last) = peer.last_seq {
-                                    let gap = seq.wrapping_sub(last) as u64;
-                                    if gap > 1 && gap < 1_000 {
-                                        peer.lost += gap - 1;
-                                        gap_seen = true;
-                                    }
-                                }
-                                peer.last_seq = Some(seq);
-                                peer.received += 1;
-                                // A gap means decode state is broken until
-                                // the next I-frame: ask for one now, at
-                                // most twice a second per sender.
-                                let cooled = peer
-                                    .last_pli_at
-                                    .is_none_or(|at| now.since(at) >= SimDuration::from_millis(500));
-                                if gap_seen && cooled {
-                                    peer.last_pli_at = Some(now);
-                                    pli_sent[r] += 1;
-                                    vca_metrics().pli_sent.inc();
-                                    let pli = visionsim_transport::rtcp::PliPacket {
-                                        reporter_ssrc: r as u32 + 1,
-                                        source_ssrc: sender as u32 + 1,
-                                    };
-                                    net.send(
-                                        clients[r],
-                                        clients[sender],
-                                        PortPair::new(RTCP_PORT_BASE + r as u16, RTCP_PORT),
-                                        pli.to_bytes().to_vec(),
-                                    );
-                                }
+                                self.acct.e2e_latency_ms[r].push(d.at.since(sent).as_millis_f64());
                             }
+                            let _ = peer.codec.decode(&payload);
                         }
                     }
-                }
-            }
-
-            // Rendering (spatial sessions, per AVP participant).
-            if persona_type == PersonaType::Spatial {
-                for r in 0..n {
-                    if cfg.participants[r].device != DeviceKind::VisionPro {
-                        continue;
-                    }
-                    let viewer = gazes[r].step(tick.as_secs_f64(), rng);
-                    // Slow in-seat drift (OU process, ~10 cm scale).
-                    for d in seat_drift.iter_mut() {
-                        let pull = 0.5 * tick.as_secs_f64() as f32;
-                        let dt_sqrt = (tick.as_secs_f64() as f32).sqrt();
-                        d.x = d.x * (1.0 - pull) + rng.normal(0.0, 0.05) as f32 * dt_sqrt;
-                        d.y = d.y * (1.0 - pull) + rng.normal(0.0, 0.02) as f32 * dt_sqrt;
-                        d.z = d.z * (1.0 - pull) + rng.normal(0.0, 0.05) as f32 * dt_sqrt;
-                    }
-                    let personas: Vec<PersonaInstance> = persona_positions
-                        .iter()
-                        .zip(seat_drift.iter())
-                        .map(|(&p, &d)| PersonaInstance::paper_ladder(p + d))
-                        .collect();
-                    // Unavailable personas are not rendered; a participant
-                    // degraded to the 2D fallback renders no spatial
-                    // geometry either (the fallback stream replaces it).
-                    let renders = if availability[r].is_available() && ladders[r].is_spatial() {
-                        pipeline.evaluate(&viewer, &personas)
-                    } else {
-                        Vec::new()
-                    };
-                    let cost =
-                        cost_model.frame(&renders, rx_bytes_since_frame[r], rng);
-                    counters[r].record(now, &cost);
-                    rx_bytes_since_frame[r] = 0;
-                }
-            }
-
-            // Feedback interval.
-            if t > 0 && t % feedback_every == 0 {
-                for r in 0..n {
-                    match persona_type {
-                        PersonaType::Spatial => {
-                            // With the loop closed, the spatial stream is
-                            // no longer open: report frame-gap loss (RR)
-                            // plus jitter and arrival rate (XR) toward
-                            // each sender, before the interval counters
-                            // drain below.
-                            if cfg.congestion_control {
-                                let interval_s =
-                                    (feedback_every * tick.as_nanos()) as f64 / 1e9;
-                                let reports: Vec<(usize, Vec<u8>, Vec<u8>)> = receivers[r]
-                                    .iter_mut()
-                                    .map(|(&s, peer)| {
-                                        let complete = peer.frames_completed_interval;
-                                        let lost = peer.frames_lost_interval;
-                                        let loss = if complete + lost == 0 {
-                                            0.0
-                                        } else {
-                                            lost as f64 / (complete + lost) as f64
-                                        };
-                                        let (jitter_us, arrival_kbps) =
-                                            peer.take_xr(interval_s);
-                                        let rr =
-                                            visionsim_transport::rtcp::ReceiverReportPacket {
-                                                reporter_ssrc: r as u32 + 1,
-                                                source_ssrc: s as u32 + 1,
-                                                fraction_lost:
-                                                    visionsim_transport::rtcp::ReceiverReportPacket::q8_loss(loss),
-                                                cumulative_lost: lost as u32,
-                                                highest_seq: peer
-                                                    .last_frame_id
-                                                    .unwrap_or(0)
-                                                    as u32,
-                                                received_bytes: peer.interval_bytes as u32,
-                                            };
-                                        peer.interval_bytes = 0;
-                                        let xr = visionsim_transport::rtcp::XrPacket {
-                                            reporter_ssrc: r as u32 + 1,
-                                            source_ssrc: s as u32 + 1,
-                                            jitter_us,
-                                            arrival_kbps,
-                                        };
-                                        (s, rr.to_bytes().to_vec(), xr.to_bytes().to_vec())
-                                    })
-                                    .collect();
-                                for (s, rr, xr) in reports {
-                                    let ports =
-                                        PortPair::new(RTCP_PORT_BASE + r as u16, RTCP_PORT);
-                                    net.send(clients[r], clients[s], ports, rr);
-                                    net.send(clients[r], clients[s], ports, xr);
-                                }
-                            }
-                            // Per-interval completeness from frame-id gaps
-                            // (delay is not loss; the stream is open-loop).
-                            let mut worst: f64 = 1.0;
-                            for peer in receivers[r].values_mut() {
-                                worst = worst.min(peer.take_interval_completeness());
-                            }
-                            let state = availability[r].on_interval(worst);
-                            availability_log[r].push((now, state));
-                            // The same observable drives graceful
-                            // degradation, with stickier recovery — and,
-                            // with the loop closed, the sender's own
-                            // controller folds in: a target below the
-                            // ~700 kbps spatial floor (§4.3) reads as
-                            // congestion, settling the ladder into 2D
-                            // instead of oscillating on a noisy
-                            // completeness signal.
-                            let ladder_input = match &controllers[r] {
-                                Some(ctrl) => {
-                                    let head = ctrl.target().as_bps() as f64
-                                        / DataRate::from_kbps(SPATIAL_FLOOR_KBPS).as_bps()
-                                            as f64;
-                                    worst.min(head.min(1.0))
-                                }
-                                None => worst,
+                    PersonaType::TwoD => {
+                        let Some(pkt) = RtpPacket::parse(&d.packet.payload) else {
+                            continue;
+                        };
+                        // A gap means decode state is broken until the
+                        // next I-frame: ask the sender for one.
+                        if peer.on_rtp_seq(pkt.header.seq, now) {
+                            self.acct.pli_sent[r] += 1;
+                            vca_metrics().pli_sent.inc();
+                            let pli = PliPacket {
+                                reporter_ssrc: r as u32 + 1,
+                                source_ssrc: sender as u32 + 1,
                             };
-                            let mode = ladders[r].on_interval(ladder_input);
-                            let prev = mode_log[r].last().map(|&(_, m)| m);
-                            if prev.is_some_and(|p| p != mode) {
-                                vca_metrics().mode_switches.inc();
-                                if trace::enabled() {
-                                    trace::record(
-                                        TraceKind::ModeSwitch,
-                                        now.as_nanos(),
-                                        0,
-                                        r as u64,
-                                        match mode {
-                                            PersonaMode::Spatial => 0,
-                                            PersonaMode::TwoDFallback => 1,
-                                        },
-                                        0,
-                                    );
-                                }
-                            }
-                            mode_log[r].push((now, mode));
-                        }
-                        PersonaType::TwoD => {
-                            // Emit in-band RTCP receiver reports toward
-                            // each sender; adaptation happens when (and
-                            // if) the report arrives.
-                            let reports: Vec<(usize, Vec<u8>, Option<Vec<u8>>)> = receivers[r]
-                                .iter_mut()
-                                .map(|(&s, peer)| {
-                                    let loss = if peer.received + peer.lost == 0 {
-                                        0.0
-                                    } else {
-                                        peer.lost as f64
-                                            / (peer.received + peer.lost) as f64
-                                    };
-                                    let rr = visionsim_transport::rtcp::ReceiverReportPacket {
-                                        reporter_ssrc: r as u32 + 1,
-                                        source_ssrc: s as u32 + 1,
-                                        fraction_lost:
-                                            visionsim_transport::rtcp::ReceiverReportPacket::q8_loss(
-                                                loss,
-                                            ),
-                                        cumulative_lost: peer.lost as u32,
-                                        highest_seq: peer.last_seq.unwrap_or(0) as u32,
-                                        received_bytes: peer.interval_bytes as u32,
-                                    };
-                                    peer.interval_bytes = 0;
-                                    peer.lost = 0;
-                                    peer.received = 0;
-                                    let xr = if cfg.congestion_control {
-                                        let interval_s =
-                                            (feedback_every * tick.as_nanos()) as f64 / 1e9;
-                                        let (jitter_us, arrival_kbps) =
-                                            peer.take_xr(interval_s);
-                                        Some(
-                                            visionsim_transport::rtcp::XrPacket {
-                                                reporter_ssrc: r as u32 + 1,
-                                                source_ssrc: s as u32 + 1,
-                                                jitter_us,
-                                                arrival_kbps,
-                                            }
-                                            .to_bytes()
-                                            .to_vec(),
-                                        )
-                                    } else {
-                                        None
-                                    };
-                                    (s, rr.to_bytes().to_vec(), xr)
-                                })
-                                .collect();
-                            for (s, payload, xr) in reports {
-                                let ports =
-                                    PortPair::new(RTCP_PORT_BASE + r as u16, RTCP_PORT);
-                                net.send(clients[r], clients[s], ports, payload);
-                                if let Some(xr) = xr {
-                                    net.send(clients[r], clients[s], ports, xr);
-                                }
-                            }
-                            if let SenderState::Video { encoder, .. } = &senders[r] {
-                                quality_log[r].push((now, encoder.quality()));
-                            }
+                            self.fabric.net.send(
+                                self.fabric.clients[r],
+                                self.fabric.clients[sender],
+                                PortPair::new(RTCP_PORT_BASE + r as u16, RTCP_PORT),
+                                pli.to_bytes().to_vec(),
+                            );
                         }
                     }
                 }
             }
         }
-        self.t += 1;
+    }
+
+    /// RTCP arriving at participant `r` reports on `r`'s own outgoing
+    /// stream: close the loop.
+    fn on_rtcp(&mut self, r: usize, payload: &[u8], now: SimTime) {
+        let ssrc = r as u32 + 1;
+        // PLI: the remote receiver lost decode state and asks this sender
+        // for a fresh keyframe.
+        if let Some(pli) = PliPacket::parse(payload) {
+            if pli.source_ssrc == ssrc {
+                if let SenderState::Video { encoder, .. } = &mut self.media.senders[r] {
+                    encoder.force_keyframe();
+                    self.acct.keyframes_forced[r] += 1;
+                    vca_metrics().keyframes_forced.inc();
+                }
+            }
+            return;
+        }
+        if let Some(rr) = ReceiverReportPacket::parse(payload) {
+            if rr.source_ssrc == ssrc {
+                self.media.last_rr_loss[r] = rr.loss();
+                if let SenderState::Video {
+                    encoder,
+                    controller,
+                    ..
+                } = &mut self.media.senders[r]
+                {
+                    let report = ReceiverReport {
+                        received_bytes: rr.received_bytes as u64,
+                        loss: rr.loss(),
+                        interval_s: 1.0,
+                    };
+                    encoder.adapt_to(controller.on_report(&report));
+                }
+            }
+            return;
+        }
+        // XR extended report: the delay/rate half of the congestion
+        // signal. Paired with the loss from the RR that rode the same
+        // cadence (it arrives just ahead on the same FIFO path).
+        let Some(xr) = XrPacket::parse(payload).filter(|xr| xr.source_ssrc == ssrc) else {
+            return;
+        };
+        let media = &mut self.media;
+        let Some(ctrl) = &mut media.controllers[r] else {
+            return;
+        };
+        let loss = media.last_rr_loss[r];
+        let sig = CongestionSignals {
+            loss,
+            arrival: DataRate::from_kbps(xr.arrival_kbps as u64),
+            queue_delay_us: xr.jitter_us as u64,
+        };
+        let target = ctrl.on_report(now, &sig);
+        if trace::enabled() {
+            trace::record(
+                TraceKind::RtcpReport,
+                now.as_nanos(),
+                0,
+                r as u64,
+                (loss * 1_000.0).round() as u64,
+                xr.arrival_kbps as u64,
+            );
+        }
+        if let SenderState::Video { encoder, .. } = &mut media.senders[r] {
+            encoder.adapt_to(target);
+        }
+    }
+
+    /// Render phase (spatial sessions, per Vision Pro viewer): step gaze
+    /// and seat drift, run the visibility pipeline, and cost the frame.
+    fn render_frames(&mut self, now: SimTime) {
+        if self.persona_type != PersonaType::Spatial {
+            return;
+        }
+        let rs = &mut self.render;
+        let dt = self.tick.as_secs_f64();
+        for r in 0..self.n {
+            if self.config.participants[r].device != DeviceKind::VisionPro {
+                continue;
+            }
+            let viewer = rs.gazes[r].step(dt, &mut self.rng);
+            // Slow in-seat drift (OU process, ~10 cm scale).
+            let pull = 0.5 * dt as f32;
+            let dt_sqrt = (dt as f32).sqrt();
+            for d in rs.seat_drift.iter_mut() {
+                d.x = d.x * (1.0 - pull) + self.rng.normal(0.0, 0.05) as f32 * dt_sqrt;
+                d.y = d.y * (1.0 - pull) + self.rng.normal(0.0, 0.02) as f32 * dt_sqrt;
+                d.z = d.z * (1.0 - pull) + self.rng.normal(0.0, 0.05) as f32 * dt_sqrt;
+            }
+            let personas: Vec<PersonaInstance> = rs
+                .persona_positions
+                .iter()
+                .zip(rs.seat_drift.iter())
+                .map(|(&p, &d)| PersonaInstance::paper_ladder(p + d))
+                .collect();
+            // Unavailable personas are not rendered; a participant
+            // degraded to the 2D fallback renders no spatial geometry
+            // either (the fallback stream replaces it).
+            let renders = if rs.availability[r].is_available() && rs.ladders[r].is_spatial() {
+                rs.pipeline.evaluate(&viewer, &personas)
+            } else {
+                Vec::new()
+            };
+            let cost = rs
+                .cost_model
+                .frame(&renders, rs.rx_bytes_since_frame[r], &mut self.rng);
+            self.acct.counters[r].record(now, &cost);
+            rs.rx_bytes_since_frame[r] = 0;
+        }
+    }
+
+    /// Feedback phase, once per interval: receiver reports toward each
+    /// sender, then the spatial persona state machines or the 2D quality
+    /// log.
+    fn feedback(&mut self, now: SimTime) {
+        for r in 0..self.n {
+            // 2D receivers always report in band (adaptation happens when,
+            // and if, the report arrives). A spatial stream is open-loop
+            // unless the congestion loop is closed.
+            if self.persona_type == PersonaType::TwoD || self.config.congestion_control {
+                self.send_reports(r);
+            }
+            match self.persona_type {
+                PersonaType::Spatial => self.update_persona_mode(r, now),
+                PersonaType::TwoD => {
+                    if let SenderState::Video { encoder, .. } = &self.media.senders[r] {
+                        self.acct.quality_log[r].push((now, encoder.quality()));
+                    }
+                }
+            }
+        }
+    }
+
+    /// Receiver `r`'s RTCP toward each sender, in sender order: an RR,
+    /// plus an XR (jitter and arrival rate) when the congestion loop is
+    /// closed.
+    fn send_reports(&mut self, r: usize) {
+        let spatial = self.persona_type == PersonaType::Spatial;
+        let xr_interval_s = self
+            .config
+            .congestion_control
+            .then(|| (self.feedback_every * self.tick.as_nanos()) as f64 / 1e9);
+        let ports = PortPair::new(RTCP_PORT_BASE + r as u16, RTCP_PORT);
+        let fabric = &mut self.fabric;
+        for (s, peer) in self.media.receivers[r].iter_mut().enumerate() {
+            let Some(peer) = peer else { continue };
+            let (from, to) = (fabric.clients[r], fabric.clients[s]);
+            let rr = peer.take_rr(spatial, r, s);
+            fabric.net.send(from, to, ports, rr.to_bytes().to_vec());
+            if let Some(interval_s) = xr_interval_s {
+                let (jitter_us, arrival_kbps) = peer.take_xr(interval_s);
+                let xr = XrPacket {
+                    reporter_ssrc: r as u32 + 1,
+                    source_ssrc: s as u32 + 1,
+                    jitter_us,
+                    arrival_kbps,
+                };
+                fabric.net.send(from, to, ports, xr.to_bytes().to_vec());
+            }
+        }
+    }
+
+    /// Viewer `r`'s persona availability and degradation ladder, from this
+    /// interval's worst per-sender completeness.
+    fn update_persona_mode(&mut self, r: usize, now: SimTime) {
+        // Per-interval completeness from frame-id gaps (delay is not loss;
+        // the stream is open-loop).
+        let mut worst: f64 = 1.0;
+        for peer in self.media.receivers[r].iter_mut().flatten() {
+            worst = worst.min(peer.take_interval_completeness());
+        }
+        let state = self.render.availability[r].on_interval(worst);
+        self.acct.availability_log[r].push((now, state));
+        // The same observable drives graceful degradation, with stickier
+        // recovery — and, with the loop closed, the sender's own
+        // controller folds in: a target below the ~700 kbps spatial floor
+        // (§4.3) reads as congestion, settling the ladder into 2D instead
+        // of oscillating on a noisy completeness signal.
+        let ladder_input = match &self.media.controllers[r] {
+            Some(ctrl) => {
+                let head = ctrl.target().as_bps() as f64
+                    / DataRate::from_kbps(SPATIAL_FLOOR_KBPS).as_bps() as f64;
+                worst.min(head.min(1.0))
+            }
+            None => worst,
+        };
+        let mode = self.render.ladders[r].on_interval(ladder_input);
+        let mode_log = &mut self.acct.mode_log[r];
+        if mode_log.last().is_some_and(|&(_, prev)| prev != mode) {
+            vca_metrics().mode_switches.inc();
+            if trace::enabled() {
+                let code = match mode {
+                    PersonaMode::Spatial => 0,
+                    PersonaMode::TwoDFallback => 1,
+                };
+                trace::record(TraceKind::ModeSwitch, now.as_nanos(), 0, r as u64, code, 0);
+            }
+        }
+        mode_log.push((now, mode));
     }
 
     /// Tear down and summarize: consumes the stepper and produces the
@@ -1867,69 +1807,69 @@ impl SessionSim {
     /// point — the live service finishes sessions early on `leave`.
     pub fn finish(self) -> SessionOutcome {
         let SessionSim {
-            net,
-            tap_ids,
-            clients,
-            senders,
             persona_type,
-            topology,
-            assignment,
-            counters,
-            availability_log,
-            semantic_frame_sizes,
-            e2e_latency_ms,
-            mode_log,
-            ladders,
-            quality_log,
-            failovers,
-            pli_sent,
-            keyframes_forced,
-            reconnectors,
-            directory,
+            fabric,
+            failover,
+            media,
+            render,
+            acct,
             ..
         } = self;
-
-        let taps: Vec<Vec<TapRecord>> = tap_ids
+        let net = &fabric.net;
+        let taps = fabric
+            .tap_ids
             .iter()
             .map(|&t| net.tap_records(t).to_vec())
             .collect();
-        let client_addrs = clients.iter().map(|&c| net.addr(c)).collect();
-        let final_quality = senders
+        let client_addrs = fabric.clients.iter().map(|&c| net.addr(c)).collect();
+        let final_quality = media
+            .senders
             .iter()
             .map(|s| match s {
                 SenderState::Video { encoder, .. } => encoder.quality(),
                 SenderState::Spatial { .. } => 1.0,
             })
             .collect();
+        let (reconnects, admission_rejects) = match &failover {
+            Failover::Cohort { .. } => (Vec::new(), 0),
+            Failover::Reconnect {
+                directory,
+                reconnectors,
+                ..
+            } => (
+                reconnectors
+                    .iter()
+                    .map(|r| ReconnectSummary {
+                        participant: r.participant() as usize,
+                        attempts: r.attempts(),
+                        rejected: r.rejected(),
+                        phase: r.phase(),
+                        rejoin: r.rejoin_latency(),
+                    })
+                    .collect(),
+                directory.total_rejects(),
+            ),
+        };
         SessionOutcome {
             persona_type,
-            topology,
-            assignment,
+            topology: fabric.topology,
             taps,
             client_addrs,
-            counters,
-            availability: availability_log,
-            semantic_frame_sizes,
-            e2e_latency_ms,
             geodb: net.geodb().clone(),
+            assignment: fabric.assignment,
+            counters: acct.counters,
+            availability: acct.availability_log,
+            semantic_frame_sizes: acct.semantic_frame_sizes,
+            e2e_latency_ms: acct.e2e_latency_ms,
             final_quality,
-            mode_log,
-            fallbacks: ladders.iter().map(|l| l.fallbacks()).collect(),
-            quality_log,
-            failovers,
-            pli_sent,
-            keyframes_forced,
-            reconnects: reconnectors
-                .iter()
-                .map(|r| ReconnectSummary {
-                    participant: r.participant() as usize,
-                    attempts: r.attempts(),
-                    rejected: r.rejected(),
-                    phase: r.phase(),
-                    rejoin: r.rejoin_latency(),
-                })
-                .collect(),
-            admission_rejects: directory.as_ref().map(|d| d.total_rejects()).unwrap_or(0),
+            mode_log: acct.mode_log,
+            fallbacks: render.ladders.iter().map(|l| l.fallbacks()).collect(),
+            quality_log: acct.quality_log,
+            failovers: fabric.failovers,
+            pli_sent: acct.pli_sent,
+            keyframes_forced: acct.keyframes_forced,
+            reconnects,
+            admission_rejects,
         }
     }
 }
@@ -2345,6 +2285,14 @@ mod tests {
             ),
         ];
         let out = SessionRunner::new(cfg).run();
+        // Both cohorts are accounted for while they wait: the sanitizer
+        // (on in debug builds and under VISIONSIM_SANITIZE=1) checks
+        // participant conservation on the legacy scheduler too.
+        let violations: Vec<_> = sanitizer::take()
+            .into_iter()
+            .filter(|v| v.site == "vca/participant_conservation")
+            .collect();
+        assert!(violations.is_empty(), "{violations:?}");
         let sites: Vec<&str> = out
             .assignment
             .as_ref()
@@ -2365,6 +2313,29 @@ mod tests {
                 !sites.contains(&label.as_str()),
                 "reattached to a dead site: {label}"
             );
+        }
+    }
+
+    /// Receiver reports leave in sender order, so a group call's AP
+    /// captures are a pure function of its config: two identical runs in
+    /// one process record the same packets at the same instants.
+    #[test]
+    fn group_call_taps_are_identical_across_runs() {
+        let cities: Vec<City> = visionsim_geo::cities::us_vantages();
+        let mut cfg = SessionConfig::facetime_avp(5, &cities, 12);
+        cfg.provider = Provider::Zoom;
+        cfg.duration = SimDuration::from_secs(4);
+        let capture = |out: &SessionOutcome| -> Vec<Vec<(u64, String)>> {
+            out.taps
+                .iter()
+                .map(|tap| tap.iter().map(|r| (r.at.as_nanos(), format!("{r:?}"))).collect())
+                .collect()
+        };
+        let a = SessionRunner::new(cfg.clone()).run();
+        let b = SessionRunner::new(cfg).run();
+        assert_eq!(a.topology, Topology::Sfu);
+        for (p, (ta, tb)) in capture(&a).iter().zip(&capture(&b)).enumerate() {
+            assert!(ta == tb, "participant {p}: taps differ between identical runs");
         }
     }
 

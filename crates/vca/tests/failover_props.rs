@@ -12,12 +12,11 @@
 //!    worker threads: jitter comes from `derive_seed`, never from the
 //!    schedule.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use visionsim_core::par::{self, derive_seed, par_map};
 use visionsim_core::rng::SimRng;
 use visionsim_core::time::{SimDuration, SimTime};
-use visionsim_device::device::DeviceKind;
-use visionsim_geo::cities;
+use visionsim_geo::cities::{self, City};
 use visionsim_geo::sites::{Provider, SiteRegistry};
 use visionsim_net::fault::FaultPlan;
 use visionsim_net::probe::SiteHealth;
@@ -152,15 +151,12 @@ fn open_breaker_outlives_ground_truth_recovery() {
     );
 }
 
-/// Build the staggered two-site outage used by the regression test in
-/// `session.rs`, parameterized by seed and resilience mode.
-fn staggered_outage_config(seed: u64, resilience: bool) -> SessionConfig {
-    let mut cfg = SessionConfig::two_party(
-        Provider::FaceTime,
-        (DeviceKind::VisionPro, cities::US_WEST[0]),
-        (DeviceKind::VisionPro, cities::US_EAST[0]),
-        seed,
-    );
+/// Build the staggered outage used by the regression test in
+/// `session.rs`, parameterized by seed, resilience mode and the
+/// participants' cities: the sites of participants 0 and 1 die at 1 s and
+/// 2 s.
+fn staggered_outage_config(seed: u64, resilience: bool, at: &[City]) -> SessionConfig {
+    let mut cfg = SessionConfig::facetime_avp(at.len(), at, seed);
     cfg.policy = AssignmentPolicy::GeoDistributed;
     cfg.duration = SimDuration::from_secs(10);
     cfg.fault_plans = vec![
@@ -188,30 +184,49 @@ fn staggered_outage_config(seed: u64, resilience: bool) -> SessionConfig {
 }
 
 /// Across chaos seeds and both reattach implementations (legacy queue,
-/// resilience layer), no failover ever lands on a killed site.
+/// resilience layer), no failover ever lands on a killed site. The
+/// four-site input makes the first reattach open a new site while two
+/// other sites are live, so the backbone extension has an order to get
+/// right.
 #[test]
 fn failover_targets_never_name_a_killed_site_across_seeds() {
+    let two_sites = [cities::US_WEST[0], cities::US_EAST[0]];
+    let four_sites = [
+        cities::US_WEST[0],
+        cities::US_EAST[0],
+        cities::WORLD[0],
+        cities::WORLD[2],
+    ];
     for seed in [3u64, 11, 42, 77, 1_000, 65_535] {
         for resilience in [false, true] {
-            let out = SessionRunner::new(staggered_outage_config(seed, resilience)).run();
-            let initial: Vec<&str> = out
-                .assignment
-                .as_ref()
-                .expect("SFU session has an assignment")
-                .attachments
-                .iter()
-                .map(|s| s.label)
-                .collect();
-            assert_ne!(initial[0], initial[1], "seed {seed}: need distinct sites");
-            assert!(
-                !out.failovers.is_empty(),
-                "seed {seed} resilience={resilience}: outages must trigger failovers"
-            );
-            for (_, label) in &out.failovers {
-                assert!(
-                    !initial.contains(&label.as_str()),
-                    "seed {seed} resilience={resilience}: reattached to killed site {label}"
+            for at in [&two_sites[..], &four_sites[..]] {
+                let out = SessionRunner::new(staggered_outage_config(seed, resilience, at)).run();
+                let initial: Vec<&str> = out
+                    .assignment
+                    .as_ref()
+                    .expect("SFU session has an assignment")
+                    .attachments
+                    .iter()
+                    .map(|s| s.label)
+                    .collect();
+                let distinct: BTreeSet<&str> = initial.iter().copied().collect();
+                assert_eq!(
+                    distinct.len(),
+                    at.len(),
+                    "seed {seed}: need {} distinct sites",
+                    at.len()
                 );
+                assert!(
+                    !out.failovers.is_empty(),
+                    "seed {seed} resilience={resilience}: outages must trigger failovers"
+                );
+                let killed = &initial[..2];
+                for (_, label) in &out.failovers {
+                    assert!(
+                        !killed.contains(&label.as_str()),
+                        "seed {seed} resilience={resilience}: reattached to killed site {label}"
+                    );
+                }
             }
         }
     }
@@ -241,7 +256,8 @@ fn reconnect_backoff_is_byte_identical_across_thread_counts() {
             "{:?}",
             par_map(participants.clone(), |p| backoff_schedule(2024, p))
         );
-        let out = SessionRunner::new(staggered_outage_config(7, true)).run();
+        let at = [cities::US_WEST[0], cities::US_EAST[0]];
+        let out = SessionRunner::new(staggered_outage_config(7, true, &at)).run();
         let ledger = format!("{:?} rejects={}", out.reconnects, out.admission_rejects);
         match &baseline {
             None => baseline = Some((schedules, ledger)),
