@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Tier-1 gate: build, full test suite, lints, and the thread-count
-# determinism check. Run from the repo root.
+# Tier-1 gate: build, full test suite (including the thread-count
+# determinism suite, tests/determinism.rs), lints, and the smoke and
+# regression sections below. Run from the repo root.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -9,9 +10,6 @@ cargo build --release --workspace
 
 echo "== tests =="
 cargo test -q --workspace
-
-echo "== thread-count determinism =="
-cargo test -q --test determinism
 
 echo "== chaos suite at 1 and 4 workers =="
 VISIONSIM_THREADS=1 cargo test -q --test fault_injection

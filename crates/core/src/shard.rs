@@ -508,6 +508,9 @@ mod tests {
 
     #[test]
     fn causality_all_deliveries_respect_lookahead() {
+        // The sanitizer is process-global: serialize with the other tests
+        // that force and reset it.
+        let _guard = par::override_guard();
         sanitizer::force(Some(true));
         sanitizer::reset();
         let log = run_ring(6, 3, 500_000, 30);

@@ -382,23 +382,24 @@ pub fn site_name(id: u32) -> String {
 
 /// Record one event. No-op when tracing is disabled; when enabled, the
 /// write is a mutex-guarded POD store into the preallocated ring — no
-/// heap allocation in steady state.
+/// heap allocation in steady state. The `seq` stamp is taken under the
+/// ring lock, so the ring always holds every retained event below the
+/// highest stamp a [`follow`] poll can see.
 pub fn record(kind: TraceKind, time_ns: u64, site: u32, a: u64, b: u64, c: u64) {
     if !enabled() {
         return;
     }
-    let seq = SEQ.fetch_add(1, Ordering::Relaxed);
     TOTAL.fetch_add(1, Ordering::Relaxed);
+    let mut ring = RING.lock().unwrap_or_else(|e| e.into_inner());
     let ev = TraceEvent {
         time_ns,
-        seq,
+        seq: SEQ.fetch_add(1, Ordering::Relaxed),
         kind,
         site,
         a,
         b,
         c,
     };
-    let mut ring = RING.lock().unwrap_or_else(|e| e.into_inner());
     ensure_ring(&mut ring);
     let cap = ring.buf.capacity();
     if ring.len < cap {
@@ -529,16 +530,9 @@ pub struct FollowChunk {
 /// `cursor` (a `seq` watermark; start at 0) that still survives in the
 /// ring. The ring is left untouched, so a live follower (`trace_dump
 /// --follow`, the service's sidecar flush) coexists with the harness's
-/// end-of-artifact [`take`].
-///
-/// Concurrency caveat: the returned cursor is `max(seq) + 1` over the
-/// events this poll observed. `seq` is allocated atomically *before*
-/// the mutex-guarded ring store ([`record`]), so under concurrent
-/// recording an event whose `seq` was handed out before the poll but
-/// stored after it lands below the advanced cursor and is skipped
-/// **permanently**, not picked up later. Callers that need lossless
-/// tailing must ensure record and follow run on the same thread — the
-/// service's single-threaded pacing loop does exactly that.
+/// end-of-artifact [`take`]. Tailing is lossless under concurrent
+/// recording: [`record`] stamps `seq` under the ring lock, so no event
+/// can land below a cursor a poll has already returned.
 pub fn follow(cursor: u64) -> FollowChunk {
     let ring = RING.lock().unwrap_or_else(|e| e.into_inner());
     let mut events: Vec<TraceEvent> = Vec::new();
@@ -954,6 +948,54 @@ mod tests {
         assert_eq!(next.events[0].kind, TraceKind::PacketDeliver);
         // The ring still holds everything — follow never drains.
         assert_eq!(take().len(), 4);
+        reset();
+        force(None);
+    }
+
+    #[test]
+    fn follow_is_lossless_under_concurrent_recording() {
+        let _g = override_guard();
+        force(Some(true));
+        let site = intern("trace-test/follow-lossless");
+        const THREADS: u64 = 4;
+        // The ring never wraps, so any event the follower misses is a
+        // real loss rather than an overwrite.
+        let per_thread = 10_000.min((capacity() as u64 - 1) / THREADS);
+        // The race needs a writer preempted between stamping and storing
+        // while the follower polls; several rounds make a miss near-certain
+        // wherever it is possible.
+        for round in 0..16 {
+            reset();
+            record(TraceKind::PacketSend, 0, 0, u64::MAX, 0, 0);
+            let start = follow(0).cursor;
+            let (mut seen, mut dropped) = (0u64, 0u64);
+            std::thread::scope(|s| {
+                let writers: Vec<_> = (0..THREADS)
+                    .map(|t| {
+                        s.spawn(move || {
+                            for i in 0..per_thread {
+                                record(TraceKind::PacketSend, i, site, t, i, 0);
+                            }
+                        })
+                    })
+                    .collect();
+                let mut cursor = start;
+                loop {
+                    let finished = writers.iter().all(|w| w.is_finished());
+                    let chunk = follow(cursor);
+                    seen += chunk.events.iter().filter(|e| e.site == site).count() as u64;
+                    dropped += chunk.dropped;
+                    cursor = chunk.cursor;
+                    if finished {
+                        break;
+                    }
+                    // Let the writers at the lock: a poll scans the whole ring.
+                    std::thread::sleep(std::time::Duration::from_micros(50));
+                }
+            });
+            assert_eq!(dropped, 0, "round {round}");
+            assert_eq!(seen, THREADS * per_thread, "round {round}: follower skipped events");
+        }
         reset();
         force(None);
     }

@@ -82,8 +82,6 @@ pub fn delta_coding(frames: usize, seed: u64) -> DeltaCodingAblation {
             keyframe_every: 90,
             step_m: 0.0005,
         },
-        with_confidence: false,
-        fps: 90.0,
     });
     let abs_sizes: Vec<usize> = trace.iter().map(|f| abs.encode(f).len()).collect();
     let delta_sizes: Vec<usize> = trace.iter().map(|f| delta.encode(f).len()).collect();

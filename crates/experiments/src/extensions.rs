@@ -8,8 +8,6 @@
 //!   rate take off.
 
 use crate::report::render_table;
-use std::collections::HashMap;
-use std::sync::{Mutex, OnceLock};
 use visionsim_core::par::{derive_seed, par_map};
 use visionsim_core::rng::SimRng;
 use visionsim_core::time::SimDuration;
@@ -124,61 +122,34 @@ pub struct BeyondFiveRow {
     pub effective_fps: f64,
 }
 
-/// Memo for the per-roster session kernels: a row is a pure function of
-/// `(users, secs, derived seed)`, and the full-session runs behind it are
-/// the most expensive kernels in the suite (the 8-user roster alone is
-/// seconds of simulated rendering). The cache is process-global and
-/// thread-count-safe precisely *because* the rows are pure: whichever
-/// cell computes a key first stores the same bytes any other would.
-/// Deliberately scoped to this sweep — memoizing kernels exercised by the
-/// determinism suite (e.g. `fec_under_loss`) would make its
-/// thread-count comparisons vacuous.
-type BeyondFiveCache = Mutex<HashMap<(usize, u64, u64), BeyondFiveRow>>;
-
-fn beyond_five_cache() -> &'static BeyondFiveCache {
-    static CACHE: OnceLock<BeyondFiveCache> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
 /// Extend the Figure 6 sweep past FaceTime's five-persona cap.
 pub fn beyond_five_users(secs: u64, seed: u64) -> Vec<BeyondFiveRow> {
     let cities = cities::us_vantages();
     // One independent session cell per roster size.
     par_map((2..=8usize).collect(), |users| {
-        {
-            let cell_seed = derive_seed(seed, "beyond_five_users", users as u64);
-            let key = (users, secs, cell_seed);
-            if let Some(row) = beyond_five_cache().lock().expect("unpoisoned").get(&key) {
-                return row.clone();
+        let cell_seed = derive_seed(seed, "beyond_five_users", users as u64);
+        let mut cfg = SessionConfig::facetime_avp(users, &cities, cell_seed);
+        cfg.duration = SimDuration::from_secs(secs);
+        let out = SessionRunner::new(cfg).run();
+        // Pool counters across participants.
+        let mut gpu = visionsim_core::stats::Percentiles::new();
+        let mut missed = 0usize;
+        let mut total = 0usize;
+        let mut fps_acc = 0.0;
+        for c in &out.counters {
+            for f in c.frames() {
+                gpu.push(f.gpu_ms);
+                missed += f.missed as usize;
+                total += 1;
             }
-            let mut cfg = SessionConfig::facetime_avp(users, &cities, cell_seed);
-            cfg.duration = SimDuration::from_secs(secs);
-            let out = SessionRunner::new(cfg).run();
-            // Pool counters across participants.
-            let mut gpu = visionsim_core::stats::Percentiles::new();
-            let mut missed = 0usize;
-            let mut total = 0usize;
-            let mut fps_acc = 0.0;
-            for c in &out.counters {
-                for f in c.frames() {
-                    gpu.push(f.gpu_ms);
-                    missed += f.missed as usize;
-                    total += 1;
-                }
-                fps_acc += c.effective_fps();
-            }
-            let row = BeyondFiveRow {
-                users,
-                gpu_mean_ms: gpu.mean(),
-                gpu_p95_ms: gpu.percentile(95.0),
-                miss_rate: missed as f64 / total.max(1) as f64,
-                effective_fps: fps_acc / out.counters.len() as f64,
-            };
-            beyond_five_cache()
-                .lock()
-                .expect("unpoisoned")
-                .insert(key, row.clone());
-            row
+            fps_acc += c.effective_fps();
+        }
+        BeyondFiveRow {
+            users,
+            gpu_mean_ms: gpu.mean(),
+            gpu_p95_ms: gpu.percentile(95.0),
+            miss_rate: missed as f64 / total.max(1) as f64,
+            effective_fps: fps_acc / out.counters.len() as f64,
         }
     })
 }
@@ -260,15 +231,12 @@ mod tests {
         assert!(at8.effective_fps < 85.0, "8u fps {}", at8.effective_fps);
         // GPU load grows monotonically-ish.
         assert!(at8.gpu_mean_ms > at5.gpu_mean_ms);
+        assert!(format_beyond_five(&rows).contains("8"));
     }
 
     #[test]
     fn formatting_contains_all_rows() {
         let points = fec_under_loss(50, 1_500, 94);
         assert!(format_fec(&points).lines().count() >= points.len() + 3);
-        // Same (secs, seed) as `deadline_misses_take_off_beyond_five`, so
-        // whichever test runs second gets the memoized rows for free.
-        let rows = beyond_five_users(6, 93);
-        assert!(format_beyond_five(&rows).contains("8"));
     }
 }

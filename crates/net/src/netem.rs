@@ -4,10 +4,10 @@
 //! the display-latency experiment (§4.3) and to constrain uplink bandwidth
 //! for the rate-adaptation experiment (also §4.3, the 700 kbps cliff).
 //! [`Netem`] reproduces those knobs, plus the loss/corruption injection the
-//! session guides' reference stack exposes for robustness testing.
+//! session guides' reference stack exposes for robustness testing. Knobs
+//! that change over a run are driven by a [`crate::fault::FaultPlan`].
 
 use crate::fault::{DrawPlan, GilbertElliott};
-use std::cell::Cell;
 use visionsim_core::rng::SimRng;
 use visionsim_core::time::{SimDuration, SimTime};
 use visionsim_core::units::{ByteSize, DataRate};
@@ -33,11 +33,6 @@ pub struct Netem {
     /// Optional token-bucket shaper (the `tc tbf` knob). Packets exceeding
     /// the bucket are delayed until tokens accrue.
     pub shaper: Option<TokenBucket>,
-    /// Optional time-varying rate schedule driving the shaper (cellular /
-    /// congested-WiFi trace playback). When set, the shaper's rate is
-    /// updated from the profile before each packet; a shaper is created on
-    /// first use if absent.
-    pub profile: Option<RateProfile>,
     /// Link administratively/physically down: every packet dropped (the
     /// chaos engine's link-flap knob).
     pub down: bool,
@@ -59,27 +54,11 @@ impl Netem {
         Netem::default()
     }
 
-    /// Only a fixed extra delay (the display-latency experiment).
-    pub fn with_delay(extra_delay: SimDuration) -> Self {
-        Netem {
-            extra_delay,
-            ..Netem::default()
-        }
-    }
-
     /// Only a rate limit (the bandwidth-cliff experiment). Burst defaults
     /// to 32 KB, `tc tbf`'s common configuration for ~Mbps-class shaping.
     pub fn with_rate_limit(rate: DataRate) -> Self {
         Netem {
             shaper: Some(TokenBucket::new(rate, ByteSize::from_kb(32))),
-            ..Netem::default()
-        }
-    }
-
-    /// A time-varying rate limit following `profile` (trace playback).
-    pub fn with_rate_profile(profile: RateProfile) -> Self {
-        Netem {
-            profile: Some(profile),
             ..Netem::default()
         }
     }
@@ -94,7 +73,6 @@ impl Netem {
             && self.ge.is_none()
             && self.loss == 0.0
             && self.jitter.is_zero()
-            && self.profile.is_none()
             && self.shaper.is_none()
             && self.reorder == 0.0
             && self.corrupt == 0.0
@@ -135,13 +113,6 @@ impl Netem {
         let mut delay = self.extra_delay;
         if !self.jitter.is_zero() {
             delay += SimDuration::from_nanos(rng.uniform_u64(0, self.jitter.as_nanos()));
-        }
-        if let Some(profile) = &self.profile {
-            let rate = profile.rate_at(now);
-            match &mut self.shaper {
-                Some(shaper) => shaper.set_rate(rate),
-                None => self.shaper = Some(TokenBucket::new(rate, ByteSize::from_kb(32))),
-            }
         }
         if let Some(shaper) = &mut self.shaper {
             match shaper.admit(now, size) {
@@ -206,7 +177,6 @@ impl Netem {
             return;
         }
         let only_stochastic = self.jitter.is_zero()
-            && self.profile.is_none()
             && self.shaper.is_none()
             && self.reorder == 0.0
             && self.corrupt == 0.0
@@ -314,82 +284,6 @@ pub enum NetemVerdict {
     },
 }
 
-/// A piecewise-constant, cyclically repeating rate schedule — the shape
-/// of cellular/congested-WiFi bandwidth traces used to replay real network
-/// conditions against the shaper.
-#[derive(Clone, Debug)]
-pub struct RateProfile {
-    /// (segment duration, rate) pairs; the schedule repeats after the last
-    /// segment.
-    segments: Vec<(SimDuration, DataRate)>,
-    /// Cumulative end offset of each segment within the cycle, in
-    /// nanoseconds — the binary-search keys for `rate_at`. `bounds[i]` is
-    /// the exclusive end of segment `i`; the last entry equals the cycle.
-    bounds: Vec<u64>,
-    /// Total cycle length.
-    cycle: SimDuration,
-    /// Segment index the previous lookup landed in. Packet admission times
-    /// are near-monotone, so consecutive lookups overwhelmingly re-hit the
-    /// same segment; this is purely a cache — results are identical with
-    /// or without it.
-    last_hit: Cell<usize>,
-}
-
-impl RateProfile {
-    /// Build from `(duration, rate)` segments (all durations non-zero).
-    pub fn new(segments: Vec<(SimDuration, DataRate)>) -> Self {
-        assert!(!segments.is_empty(), "profile needs at least one segment");
-        assert!(
-            segments.iter().all(|(d, r)| !d.is_zero() && *r > DataRate::ZERO),
-            "segments need positive durations and rates"
-        );
-        let mut bounds = Vec::with_capacity(segments.len());
-        let mut acc = 0u64;
-        for (d, _) in &segments {
-            acc += d.as_nanos();
-            bounds.push(acc);
-        }
-        let cycle = SimDuration::from_nanos(acc);
-        RateProfile {
-            segments,
-            bounds,
-            cycle,
-            last_hit: Cell::new(0),
-        }
-    }
-
-    /// The rate in force at instant `t` (cyclic). O(1) when `t` lands in
-    /// the same segment as the previous call, O(log n) otherwise.
-    pub fn rate_at(&self, t: SimTime) -> DataRate {
-        let offset = t.as_nanos() % self.cycle.as_nanos();
-        let hit = self.last_hit.get();
-        let start = if hit == 0 { 0 } else { self.bounds[hit - 1] };
-        if start <= offset && offset < self.bounds[hit] {
-            return self.segments[hit].1;
-        }
-        // `offset < cycle == bounds.last()`, so the partition point is
-        // always a valid segment index.
-        let idx = self.bounds.partition_point(|&end| end <= offset);
-        self.last_hit.set(idx);
-        self.segments[idx].1
-    }
-
-    /// The cycle length.
-    pub fn cycle(&self) -> SimDuration {
-        self.cycle
-    }
-
-    /// Mean rate over one cycle.
-    pub fn mean_rate(&self) -> DataRate {
-        let weighted: f64 = self
-            .segments
-            .iter()
-            .map(|(d, r)| r.as_bps() as f64 * d.as_secs_f64())
-            .sum();
-        DataRate::from_bps_f64(weighted / self.cycle.as_secs_f64())
-    }
-}
-
 /// Shaper admission outcome.
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum Admission {
@@ -434,14 +328,6 @@ impl TokenBucket {
     /// The configured rate.
     pub fn rate(&self) -> DataRate {
         self.rate
-    }
-
-    /// Change the sustained rate in place (for trace-driven shaping).
-    /// Accrued tokens persist; the backlog horizon follows the new rate.
-    pub fn set_rate(&mut self, rate: DataRate) {
-        assert!(rate > DataRate::ZERO, "shaper needs a positive rate");
-        self.rate = rate;
-        self.backlog_limit = rate.as_bps() as f64 / 8.0 * 0.5;
     }
 
     fn refill(&mut self, now: SimTime) {
@@ -492,7 +378,10 @@ mod tests {
 
     #[test]
     fn fixed_delay_is_applied_exactly() {
-        let mut n = Netem::with_delay(SimDuration::from_millis(250));
+        let mut n = Netem {
+            extra_delay: SimDuration::from_millis(250),
+            ..Netem::default()
+        };
         let mut rng = SimRng::seed_from_u64(2);
         match n.apply(SimTime::ZERO, ByteSize::from_bytes(100), &mut rng) {
             NetemVerdict::Deliver { delay, .. } => {
@@ -546,153 +435,6 @@ mod tests {
                 assert!(delay <= SimDuration::from_millis(15));
             }
         }
-    }
-
-    #[test]
-    fn rate_profile_schedule_and_cycle() {
-        let p = RateProfile::new(vec![
-            (SimDuration::from_secs(2), DataRate::from_mbps(4)),
-            (SimDuration::from_secs(1), DataRate::from_kbps(500)),
-        ]);
-        assert_eq!(p.cycle(), SimDuration::from_secs(3));
-        assert_eq!(p.rate_at(SimTime::from_millis(500)), DataRate::from_mbps(4));
-        assert_eq!(p.rate_at(SimTime::from_millis(2_500)), DataRate::from_kbps(500));
-        // Cyclic repetition.
-        assert_eq!(p.rate_at(SimTime::from_millis(3_500)), DataRate::from_mbps(4));
-        // Mean: (4e6*2 + 0.5e6*1)/3 = 2.833 Mbps.
-        assert!((p.mean_rate().as_mbps_f64() - 2.8333).abs() < 0.001);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive durations")]
-    fn rate_profile_rejects_zero_segments() {
-        RateProfile::new(vec![(SimDuration::ZERO, DataRate::from_mbps(1))]);
-    }
-
-    #[test]
-    fn rate_profile_exact_segment_boundaries() {
-        // Bounds are exclusive ends: the instant a segment ends belongs to
-        // the next segment, and the cycle end wraps to the first.
-        let a = DataRate::from_mbps(4);
-        let b = DataRate::from_kbps(500);
-        let c = DataRate::from_mbps(2);
-        let p = RateProfile::new(vec![
-            (SimDuration::from_secs(2), a),
-            (SimDuration::from_secs(1), b),
-            (SimDuration::from_secs(3), c),
-        ]);
-        assert_eq!(p.rate_at(SimTime::ZERO), a);
-        assert_eq!(p.rate_at(SimTime::from_secs(2)), b, "first boundary");
-        assert_eq!(p.rate_at(SimTime::from_secs(3)), c, "second boundary");
-        // The cycle end (t == cycle) is offset 0 again.
-        assert_eq!(p.rate_at(SimTime::from_secs(6)), a, "cycle wrap");
-        // One nanosecond either side of a boundary.
-        let ns = SimDuration::from_nanos(1);
-        assert_eq!(p.rate_at(SimTime::from_secs(2) - ns), a);
-        assert_eq!(p.rate_at(SimTime::from_secs(2) + ns), b);
-        assert_eq!(p.rate_at(SimTime::from_secs(6) - ns), c);
-        assert_eq!(p.rate_at(SimTime::from_secs(6) + ns), a);
-    }
-
-    #[test]
-    fn rate_profile_before_first_and_after_last_boundary() {
-        let a = DataRate::from_mbps(8);
-        let b = DataRate::from_kbps(160);
-        let p = RateProfile::new(vec![
-            (SimDuration::from_millis(10), a),
-            (SimDuration::from_millis(5), b),
-        ]);
-        // Strictly inside the first segment (before the first bound).
-        assert_eq!(p.rate_at(SimTime::from_millis(3)), a);
-        // Past the last bound: offsets reduce mod the 15 ms cycle, however
-        // many cycles out the query lands.
-        assert_eq!(p.rate_at(SimTime::from_millis(26)), b); // 26 % 15 = 11
-        // Huge t: 1000 s mod 15 ms is exactly the 10 ms bound — second
-        // segment (exclusive ends).
-        assert_eq!(p.rate_at(SimTime::from_secs(1_000)), b);
-        assert_eq!(
-            p.rate_at(SimTime::from_nanos(u64::MAX / 2)),
-            p.rate_at(SimTime::from_nanos((u64::MAX / 2) % 15_000_000))
-        );
-    }
-
-    #[test]
-    fn rate_profile_out_of_order_queries_do_not_stale_the_cache() {
-        // The cached segment index is an accelerator only: alternating
-        // lookups that bounce between segments (and wrap the cycle) must
-        // return exactly what a fresh binary search would.
-        let rates = [
-            DataRate::from_mbps(1),
-            DataRate::from_mbps(2),
-            DataRate::from_mbps(3),
-            DataRate::from_mbps(4),
-        ];
-        let p = RateProfile::new(
-            rates
-                .iter()
-                .map(|&r| (SimDuration::from_millis(100), r))
-                .collect(),
-        );
-        let fresh = |t: SimTime| {
-            // Reference: uncached lookup on a new profile.
-            let q = RateProfile::new(
-                rates
-                    .iter()
-                    .map(|&r| (SimDuration::from_millis(100), r))
-                    .collect(),
-            );
-            q.rate_at(t)
-        };
-        // A hostile query order: forward, backward, same-instant repeats,
-        // boundary hits, cycle wraps.
-        let times_ms = [
-            350u64, 50, 50, 399, 0, 250, 100, 99, 700, 300, 1_000_000, 150, 400, 401,
-        ];
-        for &ms in &times_ms {
-            let t = SimTime::from_millis(ms);
-            assert_eq!(p.rate_at(t), fresh(t), "stale cache at t={ms} ms");
-        }
-    }
-
-    #[test]
-    fn rate_profile_single_segment_is_constant() {
-        let p = RateProfile::new(vec![(SimDuration::from_millis(7), DataRate::from_mbps(6))]);
-        for ms in [0u64, 3, 7, 14, 20, 999] {
-            assert_eq!(p.rate_at(SimTime::from_millis(ms)), DataRate::from_mbps(6));
-        }
-    }
-
-    #[test]
-    fn profiled_netem_throttles_during_the_dip() {
-        // 2 s at 8 Mbps, 1 s at 160 kbps, cycling. Offer 1.6 Mbps steadily;
-        // during dips the shaper backlog fills and drops engage.
-        let profile = RateProfile::new(vec![
-            (SimDuration::from_secs(2), DataRate::from_mbps(8)),
-            (SimDuration::from_secs(1), DataRate::from_kbps(160)),
-        ]);
-        let mut n = Netem::with_rate_profile(profile);
-        let mut rng = SimRng::seed_from_u64(9);
-        let pkt = ByteSize::from_bytes(1_000);
-        let mut t = SimTime::ZERO;
-        let mut dropped_in_dip = 0u32;
-        let mut dropped_in_clear = 0u32;
-        for _ in 0..3_000 {
-            // one packet per 5 ms = 1.6 Mbps offered
-            let in_dip = t.as_nanos() % 3_000_000_000 >= 2_000_000_000;
-            if n.apply(t, pkt, &mut rng) == NetemVerdict::Drop {
-                if in_dip {
-                    dropped_in_dip += 1;
-                } else {
-                    dropped_in_clear += 1;
-                }
-            }
-            t += SimDuration::from_millis(5);
-        }
-        assert!(dropped_in_dip > 50, "dips never dropped: {dropped_in_dip}");
-        assert!(
-            dropped_in_clear < dropped_in_dip / 4,
-            "clear periods dropped too much: {dropped_in_clear} vs {dropped_in_dip}"
-        );
     }
 
     #[test]
@@ -849,7 +591,10 @@ mod tests {
         };
         let configs = vec![
             Netem::none(),
-            Netem::with_delay(SimDuration::from_millis(20)),
+            Netem {
+                extra_delay: SimDuration::from_millis(20),
+                ..Netem::default()
+            },
             Netem {
                 down: true,
                 loss: 0.5,
@@ -904,37 +649,6 @@ mod tests {
                 rng_b.state_fingerprint(),
                 "rng stream position diverged for config {i}"
             );
-        }
-    }
-
-    #[test]
-    fn rate_profile_lookup_is_cache_invariant() {
-        let segs = vec![
-            (SimDuration::from_millis(300), DataRate::from_mbps(8)),
-            (SimDuration::from_millis(150), DataRate::from_kbps(700)),
-            (SimDuration::from_millis(50), DataRate::from_mbps(2)),
-            (SimDuration::from_millis(500), DataRate::from_kbps(160)),
-        ];
-        let p = RateProfile::new(segs.clone());
-        // Reference linear scan, evaluated fresh each call.
-        let linear = |t: SimTime| {
-            let mut offset = SimDuration::from_nanos(t.as_nanos() % p.cycle().as_nanos());
-            for (d, r) in &segs {
-                if offset < *d {
-                    return *r;
-                }
-                offset -= *d;
-            }
-            unreachable!()
-        };
-        // Forward sweep, backward sweep, and boundary-adjacent jumps: the
-        // last-hit cache must never change an answer.
-        let mut probes: Vec<u64> = (0..4_000u64).map(|k| k * 777_777).collect();
-        probes.extend((0..4_000u64).rev().map(|k| k * 999_999));
-        probes.extend([0, 299_999_999, 300_000_000, 499_999_999, 500_000_000, 999_999_999, 1_000_000_000]);
-        for ns in probes {
-            let t = SimTime::from_nanos(ns);
-            assert_eq!(p.rate_at(t), linear(t), "diverged at {ns} ns");
         }
     }
 

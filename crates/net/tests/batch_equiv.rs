@@ -17,7 +17,7 @@ use visionsim_core::units::{ByteSize, DataRate};
 use visionsim_geo::coords::GeoPoint;
 use visionsim_net::fault::{apply_to_netem, FaultPlan, GeConfig};
 use visionsim_net::link::{LinkConfig, LinkId};
-use visionsim_net::netem::RateProfile;
+use visionsim_net::netem::Netem;
 use visionsim_net::shaper::{QueueLimit, ShaperConfig};
 use visionsim_net::network::{DrainMode, Network, NodeId};
 use visionsim_net::packet::PortPair;
@@ -57,7 +57,7 @@ fn scenario_digest(seed: u64, mode: DrainMode) -> String {
 
     // Random static impairments on a few links, covering every batch-path
     // branch: independent loss, GE, jitter, reorder/duplicate/corrupt,
-    // shaper, and a rate profile.
+    // a netem token bucket, and a link shaper.
     for lid in 0..n_links {
         match shape.uniform_u64(0, 8) {
             0 => net.netem_mut(LinkId(lid)).loss = 0.02 + shape.uniform() * 0.2,
@@ -73,16 +73,10 @@ fn scenario_digest(seed: u64, mode: DrainMode) -> String {
                 netem.duplicate = shape.uniform() * 0.2;
             }
             3 => {
-                net.netem_mut(LinkId(lid)).profile = Some(RateProfile::new(vec![
-                    (
-                        SimDuration::from_millis(200 + shape.uniform_u64(0, 400)),
-                        DataRate::from_mbps(4 + shape.uniform_u64(0, 20)),
-                    ),
-                    (
-                        SimDuration::from_millis(50 + shape.uniform_u64(0, 200)),
-                        DataRate::from_kbps(300 + shape.uniform_u64(0, 700)),
-                    ),
-                ]));
+                // Netem token bucket, the shaper a `RateCliff` fault
+                // installs: delays and drops on the netem verdict path.
+                *net.netem_mut(LinkId(lid)) =
+                    Netem::with_rate_limit(DataRate::from_kbps(300 + shape.uniform_u64(0, 4_000)));
             }
             4 => {
                 // Token-bucket link shaper with a finite FIFO queue: forces

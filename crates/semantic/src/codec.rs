@@ -19,6 +19,9 @@ use visionsim_compress::{compress, decompress};
 use visionsim_core::units::{ByteSize, DataRate};
 use visionsim_sensor::keypoints::KeypointFrame;
 
+/// Stream frame rate: the headset's 90 Hz keypoint cadence.
+const FPS: f64 = 90.0;
+
 /// Encoding mode.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum CodecMode {
@@ -40,21 +43,12 @@ pub enum CodecMode {
 pub struct SemanticConfig {
     /// Encoding mode.
     pub mode: CodecMode,
-    /// Ship per-keypoint tracker confidence alongside coordinates (dlib
-    /// and OpenPose both emit one). Off by default: the paper's bandwidth
-    /// arithmetic counts coordinates only; enabling it is the
-    /// payload-richness ablation.
-    pub with_confidence: bool,
-    /// Stream frame rate.
-    pub fps: f64,
 }
 
 impl Default for SemanticConfig {
     fn default() -> Self {
         SemanticConfig {
             mode: CodecMode::Absolute,
-            with_confidence: false,
-            fps: 90.0,
         }
     }
 }
@@ -98,10 +92,6 @@ pub struct SemanticCodec {
     enc_ref: Option<Vec<i32>>,
     /// Decoder reference for delta mode.
     dec_ref: Option<Vec<i32>>,
-    /// Synthetic per-keypoint confidence source (deterministic counter —
-    /// confidences from real trackers hover near 1.0 and dither in the low
-    /// bits, which is what makes them cost real bytes).
-    conf_phase: u32,
 }
 
 impl SemanticCodec {
@@ -112,7 +102,6 @@ impl SemanticCodec {
             frames_encoded: 0,
             enc_ref: None,
             dec_ref: None,
-            conf_phase: 0,
         }
     }
 
@@ -141,19 +130,8 @@ impl SemanticCodec {
     pub fn encode(&mut self, frame: &KeypointFrame) -> Vec<u8> {
         let payload = match self.config.mode {
             CodecMode::Absolute => {
-                let mut raw = frame.to_bytes();
-                if self.config.with_confidence {
-                    for i in 0..frame.len() {
-                        // Confidence ≈ 0.9..1.0 with dithered mantissa.
-                        self.conf_phase = self.conf_phase.wrapping_mul(1_664_525).wrapping_add(
-                            1_013_904_223 + i as u32,
-                        );
-                        let c = 0.9 + 0.1 * (self.conf_phase >> 8) as f32 / (1u32 << 24) as f32;
-                        raw.extend_from_slice(&c.to_le_bytes());
-                    }
-                }
                 let mut out = vec![TAG_ABSOLUTE];
-                out.extend_from_slice(&compress(&raw));
+                out.extend_from_slice(&compress(&frame.to_bytes()));
                 out
             }
             CodecMode::Delta {
@@ -192,17 +170,7 @@ impl SemanticCodec {
         let raw = decompress(body).map_err(|_| SemanticDecodeError::Corrupt)?;
         match tag {
             TAG_ABSOLUTE => {
-                let coord_bytes = if self.config.with_confidence {
-                    // raw = 12n coords + 4n confidences = 16n bytes.
-                    if raw.len() % 16 != 0 {
-                        return Err(SemanticDecodeError::Inconsistent);
-                    }
-                    raw.len() / 16 * 12
-                } else {
-                    raw.len()
-                };
-                KeypointFrame::from_bytes(&raw[..coord_bytes])
-                    .ok_or(SemanticDecodeError::Inconsistent)
+                KeypointFrame::from_bytes(&raw).ok_or(SemanticDecodeError::Inconsistent)
             }
             TAG_DELTA_KEY | TAG_DELTA => {
                 let CodecMode::Delta { step_m, .. } = self.config.mode else {
@@ -254,7 +222,7 @@ impl SemanticCodec {
             return DataRate::ZERO;
         }
         let mean = payload_sizes.iter().sum::<usize>() as f64 / payload_sizes.len() as f64;
-        DataRate::from_bps_f64(mean * 8.0 * self.config.fps)
+        DataRate::from_bps_f64(mean * 8.0 * FPS)
     }
 
     /// The minimum link rate below which this stream cannot function: the
@@ -303,20 +271,6 @@ mod tests {
     }
 
     #[test]
-    fn absolute_mode_without_confidence_round_trips() {
-        let cfg = SemanticConfig {
-            with_confidence: false,
-            ..SemanticConfig::default()
-        };
-        let frames = persona_frames(5, 2);
-        let mut enc = SemanticCodec::new(cfg);
-        let mut dec = SemanticCodec::new(cfg);
-        for f in &frames {
-            assert_eq!(dec.decode(&enc.encode(f)).unwrap(), *f);
-        }
-    }
-
-    #[test]
     fn absolute_frames_survive_arbitrary_loss() {
         let frames = persona_frames(20, 3);
         let mut enc = SemanticCodec::new(SemanticConfig::default());
@@ -339,8 +293,6 @@ mod tests {
                 keyframe_every: 30,
                 step_m: 0.0005,
             },
-            with_confidence: false,
-            fps: 90.0,
         };
         let frames = persona_frames(60, 4);
         let mut enc = SemanticCodec::new(cfg);
@@ -359,8 +311,6 @@ mod tests {
                 keyframe_every: 10,
                 step_m: 0.0005,
             },
-            with_confidence: false,
-            fps: 90.0,
         };
         let frames = persona_frames(10, 5);
         let mut enc = SemanticCodec::new(cfg);
@@ -377,17 +327,12 @@ mod tests {
     #[test]
     fn delta_mode_is_much_smaller_than_absolute() {
         let frames = persona_frames(90, 6);
-        let mut abs = SemanticCodec::new(SemanticConfig {
-            with_confidence: false,
-            ..SemanticConfig::default()
-        });
+        let mut abs = SemanticCodec::new(SemanticConfig::default());
         let mut delta = SemanticCodec::new(SemanticConfig {
             mode: CodecMode::Delta {
                 keyframe_every: 90,
                 step_m: 0.0005,
             },
-            with_confidence: false,
-            fps: 90.0,
         });
         let abs_bytes: usize = frames.iter().map(|f| abs.encode(f).len()).sum();
         let delta_bytes: usize = frames.iter().map(|f| delta.encode(f).len()).sum();

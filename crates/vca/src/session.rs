@@ -112,15 +112,6 @@ pub struct SessionConfig {
     /// `tc tbf` on each listed uplink. Any subset of participants may be
     /// shaped in the same session.
     pub uplink_limits: Vec<(usize, DataRate)>,
-    /// Optional time-varying uplink shaping: (participant index, profile)
-    /// — trace playback of a fluctuating access network.
-    pub uplink_profile: Option<(usize, visionsim_net::netem::RateProfile)>,
-    /// Optional extra one-way delay on a participant's uplink — `tc netem`.
-    pub extra_delay: Option<(usize, SimDuration)>,
-    /// Seating layout for spatial rendering.
-    pub layout: SeatingLayout,
-    /// Visibility optimizations active on the headsets.
-    pub visibility: VisibilityFlags,
     /// Chaos schedules, per participant: (participant index, plan). Netem
     /// events mutate that participant's access link as virtual time
     /// advances; `ServerDown` events take out the SFU site the participant
@@ -182,10 +173,6 @@ impl SessionConfig {
             seed,
             policy: AssignmentPolicy::NearestToInitiator,
             uplink_limits: Vec::new(),
-            uplink_profile: None,
-            extra_delay: None,
-            layout: SeatingLayout::Arc,
-            visibility: VisibilityFlags::vision_pro(),
             fault_plans: Vec::new(),
             congestion_control: false,
             resilience: None,
@@ -589,16 +576,6 @@ impl Fabric {
                     } else {
                         *net.netem_mut(up) = Netem::with_rate_limit(*rate);
                     }
-                }
-            }
-            if let Some((idx, profile)) = &cfg.uplink_profile {
-                if *idx == clients.len() {
-                    *net.netem_mut(up) = Netem::with_rate_profile(profile.clone());
-                }
-            }
-            if let Some((idx, delay)) = cfg.extra_delay {
-                if idx == clients.len() {
-                    net.netem_mut(up).extra_delay = delay;
                 }
             }
             tap_ids.push(net.add_tap(ap));
@@ -1115,8 +1092,7 @@ impl RenderState {
         // Radius and azimuth jitter per persona, plus slow in-seat drift
         // during the session — together these give Figure 6(a)'s triangle
         // distributions their spread.
-        let persona_positions: Vec<Vec3> = cfg
-            .layout
+        let persona_positions: Vec<Vec3> = SeatingLayout::Arc
             .positions(n - 1, 1.4)
             .into_iter()
             .map(|p| {
@@ -1147,7 +1123,7 @@ impl RenderState {
         RenderState {
             persona_positions,
             seat_drift: vec![Vec3::ZERO; n - 1],
-            pipeline: VisibilityPipeline::new(cfg.visibility),
+            pipeline: VisibilityPipeline::new(VisibilityFlags::vision_pro()),
             cost_model: CostModel::default(),
             gazes,
             rx_bytes_since_frame: vec![0; n],
@@ -2200,9 +2176,8 @@ mod tests {
 
     #[test]
     fn fluctuating_uplink_flaps_the_persona() {
-        // 6 s of plenty, 6 s starved, cycling: the persona must flap —
+        // Two 6 s starved spells inside 24 s: the persona must flap —
         // down during dips, recovered during clear spells.
-        use visionsim_net::netem::RateProfile;
         let mut cfg = SessionConfig::two_party(
             Provider::FaceTime,
             (DeviceKind::VisionPro, sf()),
@@ -2210,13 +2185,12 @@ mod tests {
             77,
         );
         cfg.duration = SimDuration::from_secs(24);
-        cfg.uplink_profile = Some((
+        let dip =
+            |at| FaultPlan::rate_cliff(at, DataRate::from_kbps(200), SimDuration::from_secs(6));
+        cfg.fault_plans = vec![(
             0,
-            RateProfile::new(vec![
-                (SimDuration::from_secs(6), DataRate::from_mbps(10)),
-                (SimDuration::from_secs(6), DataRate::from_kbps(200)),
-            ]),
-        ));
+            FaultPlan::merged([dip(SimTime::from_secs(6)), dip(SimTime::from_secs(18))]),
+        )];
         let out = SessionRunner::new(cfg).run();
         let frac = out.availability_fraction(1);
         assert!(

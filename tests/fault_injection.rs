@@ -71,7 +71,10 @@ fn mutual_starvation_takes_both_personas_down() {
 #[test]
 fn delay_does_not_starve_an_open_loop_stream() {
     let mut cfg = spatial_cfg(3);
-    cfg.extra_delay = Some((0, SimDuration::from_millis(800)));
+    cfg.fault_plans = vec![(
+        0,
+        FaultPlan::delay_spike(SimTime::ZERO, SimDuration::from_millis(800), cfg.duration),
+    )];
     let out = SessionRunner::new(cfg).run();
     assert!(
         out.availability_fraction(1) > 0.8,
@@ -97,7 +100,10 @@ fn twod_session_survives_combined_impairments() {
     );
     cfg.duration = SimDuration::from_secs(12);
     cfg.uplink_limits = vec![(0, DataRate::from_kbps(900))];
-    cfg.extra_delay = Some((0, SimDuration::from_millis(200)));
+    cfg.fault_plans = vec![(
+        0,
+        FaultPlan::delay_spike(SimTime::ZERO, SimDuration::from_millis(200), cfg.duration),
+    )];
     let out = SessionRunner::new(cfg).run();
     // Adapted down, still alive.
     assert!(out.final_quality[0] < 0.6, "q = {}", out.final_quality[0]);
