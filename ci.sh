@@ -94,7 +94,7 @@ echo "$RESUME_OUT" | grep -q 'fleet.*verified' \
   || { echo "resume did not verify the fleet checksum" >&2; exit 1; }
 rm -rf "$FLEETDIR"
 
-echo "== bench smoke + regression gate (packet_path, fleet) =="
+echo "== bench smoke + regression gate (packet_path, fleet, codecs) =="
 # Quick pass (few samples) to catch bit-rot in the bench harness and gross
 # regressions; results go to a scratch file so the committed BENCH.json
 # numbers (full 10-sample runs) are not overwritten. Any benchmark whose
@@ -107,8 +107,11 @@ VISIONSIM_BENCH_SAMPLES=3 VISIONSIM_BENCH_JSON="$BENCHTMP" \
   cargo bench -p visionsim-bench --bench packet_path
 VISIONSIM_BENCH_SAMPLES=3 VISIONSIM_BENCH_JSON="$BENCHTMP" \
   cargo bench -p visionsim-bench --bench fleet
+VISIONSIM_BENCH_SAMPLES=3 VISIONSIM_BENCH_JSON="$BENCHTMP" \
+  cargo bench -p visionsim-bench --bench codecs
 grep -q '"packet_path/hops"' "$BENCHTMP" || { echo "bench smoke wrote no hops record" >&2; exit 1; }
 grep -q '"fleet/sessions_per_sec"' "$BENCHTMP" || { echo "bench smoke wrote no fleet record" >&2; exit 1; }
+grep -q '"semantic/decode_frame"' "$BENCHTMP" || { echo "bench smoke wrote no codec record" >&2; exit 1; }
 python3 - "$BENCHTMP" BENCH.json <<'PY'
 import json, sys
 fresh = json.load(open(sys.argv[1]))

@@ -1,6 +1,12 @@
 //! Micro-benchmarks of every in-tree codec: the LZMA-style compressor on
 //! keypoint payloads, rANS on mesh residuals, the mesh codec on a persona
 //! head, the semantic codec end-to-end, and ChaCha20.
+//!
+//! The keypoint benchmarks cycle through one second of distinct frames
+//! (90 at 90 FPS), one frame per iteration, as a live stream does. A
+//! single frame coded over and over would let the branch predictor learn
+//! its exact bit pattern, which no real stream allows: on this input the
+//! range coder's cost is dominated by bits that are close to coin flips.
 
 use visionsim_bench::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
@@ -12,21 +18,37 @@ use visionsim_semantic::codec::{SemanticCodec, SemanticConfig};
 use visionsim_sensor::capture::RgbdCapture;
 use visionsim_transport::cipher;
 
+/// Distinct keypoint frames the keypoint benchmarks cycle through.
+const STREAM_FRAMES: usize = 90;
+
+/// Indices `0, 1, .., n - 1, 0, 1, ..`, one per call.
+fn cycle(n: usize) -> impl FnMut() -> usize {
+    let mut k = 0;
+    move || {
+        k = (k + 1) % n;
+        k
+    }
+}
+
 fn bench(c: &mut Criterion) {
-    // Realistic payloads.
+    // Realistic payloads: one second of a persona stream.
     let mut cap = RgbdCapture::default_session();
     let mut rng = SimRng::seed_from_u64(1);
-    let frame = cap.next_frame(&mut rng).persona_subset();
-    let kp_bytes = frame.to_bytes();
-    let kp_compressed = compress(&kp_bytes);
+    let frames: Vec<_> = (0..STREAM_FRAMES)
+        .map(|_| cap.next_frame(&mut rng).persona_subset())
+        .collect();
+    let kp_bytes: Vec<Vec<u8>> = frames.iter().map(|f| f.to_bytes()).collect();
+    let kp_compressed: Vec<Vec<u8>> = kp_bytes.iter().map(|b| compress(b)).collect();
 
     let mut g = c.benchmark_group("lzma_like");
-    g.throughput(Throughput::Bytes(kp_bytes.len() as u64));
+    g.throughput(Throughput::Bytes(kp_bytes[0].len() as u64));
+    let mut next = cycle(STREAM_FRAMES);
     g.bench_function("compress_keypoint_frame", |b| {
-        b.iter(|| black_box(compress(&kp_bytes)))
+        b.iter(|| black_box(compress(&kp_bytes[next()])))
     });
+    let mut next = cycle(STREAM_FRAMES);
     g.bench_function("decompress_keypoint_frame", |b| {
-        b.iter(|| black_box(decompress(&kp_compressed).unwrap()))
+        b.iter(|| black_box(decompress(&kp_compressed[next()]).unwrap()))
     });
     g.finish();
 
@@ -65,11 +87,18 @@ fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("semantic");
     g.throughput(Throughput::Elements(1));
     let mut enc = SemanticCodec::new(SemanticConfig::default());
-    g.bench_function("encode_frame", |b| b.iter(|| black_box(enc.encode(&frame))));
-    let payload = SemanticCodec::new(SemanticConfig::default()).encode(&frame);
+    let mut next = cycle(STREAM_FRAMES);
+    g.bench_function("encode_frame", |b| {
+        b.iter(|| black_box(enc.encode(&frames[next()])))
+    });
+    let payloads: Vec<Vec<u8>> = frames
+        .iter()
+        .map(|f| SemanticCodec::new(SemanticConfig::default()).encode(f))
+        .collect();
     let mut dec = SemanticCodec::new(SemanticConfig::default());
+    let mut next = cycle(STREAM_FRAMES);
     g.bench_function("decode_frame", |b| {
-        b.iter(|| black_box(dec.decode(&payload).unwrap()))
+        b.iter(|| black_box(dec.decode(&payloads[next()]).unwrap()))
     });
     g.finish();
 

@@ -63,6 +63,12 @@ pub fn bench_json_path() -> std::path::PathBuf {
     }
 }
 
+/// Hardware threads of the measuring host, recorded with every entry so
+/// numbers from different machines are not compared blind.
+fn host_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
 fn record_line(r: &BenchRecord) -> String {
     let tp = match r.throughput {
         Some((unit, per_sec)) => {
@@ -71,8 +77,12 @@ fn record_line(r: &BenchRecord) -> String {
         None => String::new(),
     };
     format!(
-        "  \"{}\": {{\"min_ns\": {:.1}, \"mean_ns\": {:.1}, \"max_ns\": {:.1}{tp}}}",
-        r.name, r.min_ns, r.mean_ns, r.max_ns
+        "  \"{}\": {{\"min_ns\": {:.1}, \"mean_ns\": {:.1}, \"max_ns\": {:.1}{tp}, \"threads\": {}}}",
+        r.name,
+        r.min_ns,
+        r.mean_ns,
+        r.max_ns,
+        host_threads()
     )
 }
 
@@ -433,6 +443,12 @@ mod tests {
         merge_into(&path, &[record("g/old", 9.0)]).expect("second");
         let text = std::fs::read_to_string(&path).expect("merged file");
         assert!(text.contains("\"g/keep\": {\"min_ns\": 2.0"), "{text}");
+        let threads = format!("\"threads\": {}}}", host_threads());
+        assert_eq!(
+            text.matches(&threads).count(),
+            2,
+            "every record names its threads: {text}"
+        );
         assert!(text.contains("\"g/old\": {\"min_ns\": 9.0"), "{text}");
         assert!(text.ends_with("}\n"), "complete JSON object: {text}");
         let _ = std::fs::remove_dir_all(&dir);

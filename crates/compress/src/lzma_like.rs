@@ -24,21 +24,38 @@ const LITERAL_CONTEXTS: usize = 16;
 /// Hard ceiling on a stream's claimed decompressed length (256 MiB).
 pub const MAX_DECODED_LEN: usize = 256 << 20;
 
-struct Models {
-    is_match: BitModel,
-    literals: Vec<Vec<BitModel>>,
-    len_tree: Vec<BitModel>,
-    slot_tree: Vec<BitModel>,
-}
+/// Model layout inside [`Models`]: the literal/match bit, 16 literal
+/// trees of 256, the 9-bit length tree and the 5-bit slot tree.
+const IS_MATCH: usize = 0;
+const LITERALS: usize = IS_MATCH + 1;
+const LEN_TREE: usize = LITERALS + LITERAL_CONTEXTS * 256;
+const SLOT_TREE: usize = LEN_TREE + 512;
+const MODEL_COUNT: usize = SLOT_TREE + 32;
+
+/// Every adaptive model of one stream in one flat array (~9 KB on the
+/// stack): a fresh stream costs one fill, not a heap allocation per tree.
+struct Models([BitModel; MODEL_COUNT]);
 
 impl Models {
     fn new() -> Self {
-        Models {
-            is_match: BitModel::new(),
-            literals: vec![vec![BitModel::new(); 256]; LITERAL_CONTEXTS],
-            len_tree: vec![BitModel::new(); 512],
-            slot_tree: vec![BitModel::new(); 32],
-        }
+        Models([BitModel::new(); MODEL_COUNT])
+    }
+
+    fn is_match(&mut self) -> &mut BitModel {
+        &mut self.0[IS_MATCH]
+    }
+
+    fn literals(&mut self, ctx: usize) -> &mut [BitModel] {
+        let start = LITERALS + ctx * 256;
+        &mut self.0[start..start + 256]
+    }
+
+    fn len_tree(&mut self) -> &mut [BitModel] {
+        &mut self.0[LEN_TREE..SLOT_TREE]
+    }
+
+    fn slot_tree(&mut self) -> &mut [BitModel] {
+        &mut self.0[SLOT_TREE..MODEL_COUNT]
     }
 }
 
@@ -53,34 +70,31 @@ pub fn compress(data: &[u8]) -> Vec<u8> {
     if data.is_empty() {
         return out;
     }
-    let tokens = lz77::tokenize(data);
     let mut enc = RangeEncoder::new();
     let mut models = Models::new();
     let mut prev_byte: u8 = 0;
     let mut pos = 0usize;
-    for t in &tokens {
-        match *t {
-            Token::Literal(b) => {
-                enc.encode_bit(&mut models.is_match, false);
-                let ctx = literal_context(prev_byte);
-                enc.encode_tree(&mut models.literals[ctx], 8, b as u32);
-                prev_byte = b;
-                pos += 1;
-            }
-            Token::Match { len, dist } => {
-                enc.encode_bit(&mut models.is_match, true);
-                enc.encode_tree(&mut models.len_tree, 9, (len - MIN_MATCH) as u32);
-                let slot = 63 - (dist as u64).leading_zeros(); // floor(log2)
-                enc.encode_tree(&mut models.slot_tree, 5, slot);
-                if slot > 0 {
-                    let rem = dist as u32 - (1 << slot);
-                    enc.encode_direct(rem, slot);
-                }
-                pos += len;
-                prev_byte = data[pos - 1];
-            }
+    lz77::tokenize_with(data, |t| match t {
+        Token::Literal(b) => {
+            enc.encode_bit(models.is_match(), false);
+            let ctx = literal_context(prev_byte);
+            enc.encode_tree(models.literals(ctx), 8, b as u32);
+            prev_byte = b;
+            pos += 1;
         }
-    }
+        Token::Match { len, dist } => {
+            enc.encode_bit(models.is_match(), true);
+            enc.encode_tree(models.len_tree(), 9, (len - MIN_MATCH) as u32);
+            let slot = 63 - (dist as u64).leading_zeros(); // floor(log2)
+            enc.encode_tree(models.slot_tree(), 5, slot);
+            if slot > 0 {
+                let rem = dist as u32 - (1 << slot);
+                enc.encode_direct(rem, slot);
+            }
+            pos += len;
+            prev_byte = data[pos - 1];
+        }
+    });
     out.extend_from_slice(&enc.finish());
     out
 }
@@ -116,9 +130,9 @@ pub fn decompress(input: &[u8]) -> Result<Vec<u8>, SimError> {
                 what: "lzma range-coded body",
             });
         }
-        if dec.decode_bit(&mut models.is_match) {
-            let len = dec.decode_tree(&mut models.len_tree, 9) as usize + MIN_MATCH;
-            let slot = dec.decode_tree(&mut models.slot_tree, 5);
+        if dec.decode_bit(models.is_match()) {
+            let len = dec.decode_tree(models.len_tree(), 9) as usize + MIN_MATCH;
+            let slot = dec.decode_tree(models.slot_tree(), 5);
             let dist = if slot == 0 {
                 1usize
             } else {
@@ -137,7 +151,7 @@ pub fn decompress(input: &[u8]) -> Result<Vec<u8>, SimError> {
             prev_byte = *out.last().expect("non-empty after match");
         } else {
             let ctx = literal_context(prev_byte);
-            let b = dec.decode_tree(&mut models.literals[ctx], 8) as u8;
+            let b = dec.decode_tree(models.literals(ctx), 8) as u8;
             out.push(b);
             prev_byte = b;
         }

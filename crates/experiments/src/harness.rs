@@ -237,9 +237,10 @@ pub fn record_wall_bench(name: &str, secs: f64) {
         }
     }
     let ns = secs * 1e9;
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
     entries.insert(
         name.to_string(),
-        format!("  \"{name}\": {{\"min_ns\": {ns:.1}, \"mean_ns\": {ns:.1}, \"max_ns\": {ns:.1}, \"unit\": \"wall\"}}"),
+        format!("  \"{name}\": {{\"min_ns\": {ns:.1}, \"mean_ns\": {ns:.1}, \"max_ns\": {ns:.1}, \"unit\": \"wall\", \"threads\": {threads}}}"),
     );
     let mut out = String::from("{\n");
     let last = entries.len().saturating_sub(1);

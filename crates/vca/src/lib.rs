@@ -21,6 +21,8 @@
 //! * [`session`] — the session runner: capture → encode → packetize →
 //!   transport framing → network → SFU forward → reassemble → decode →
 //!   render, with AP taps recording everything for `visionsim-capture`.
+//!   Each semantic frame is decoded once per session and shared by its
+//!   receivers (`shared_decode`).
 
 pub mod adaptation;
 pub mod encoder;
@@ -29,6 +31,7 @@ pub mod profile;
 pub mod scene;
 pub mod server;
 pub mod session;
+mod shared_decode;
 
 pub use adaptation::{PersonaAvailability, RateController};
 pub use fleet::{FleetConfig, FleetOutcome, SiteReport};

@@ -27,6 +27,7 @@ use crate::server::{
     failover_site, resilience_metrics, AdmissionVerdict, AssignmentPolicy, ReconnectPhase,
     Reconnector, ResilienceConfig, ServerAssignment, SiteDirectory,
 };
+use crate::shared_decode::DecodeWindow;
 use std::collections::{HashMap, HashSet};
 use std::sync::OnceLock;
 use visionsim_core::metrics::{self, Class};
@@ -63,16 +64,20 @@ use visionsim_transport::rtp::{RtpPacket, RtpStream};
 
 /// Cached handles into the metrics registry for the session layer. All
 /// [`Class::Sim`]: derived purely from seeded simulation state.
-struct VcaMetrics {
+pub(crate) struct VcaMetrics {
     pli_sent: metrics::Counter,
     keyframes_forced: metrics::Counter,
     mode_switches: metrics::Counter,
     failovers: metrics::Counter,
     fault_onsets: metrics::Counter,
     fault_recoveries: metrics::Counter,
+    /// Semantic payloads decoded (once per distinct payload of a frame,
+    /// however many receivers completed it), and the decodes that failed.
+    pub(crate) semantic_decodes: metrics::Counter,
+    pub(crate) semantic_decode_errors: metrics::Counter,
 }
 
-fn vca_metrics() -> &'static VcaMetrics {
+pub(crate) fn vca_metrics() -> &'static VcaMetrics {
     static M: OnceLock<VcaMetrics> = OnceLock::new();
     M.get_or_init(|| VcaMetrics {
         pli_sent: metrics::counter("vca/pli_sent", Class::Sim),
@@ -81,6 +86,8 @@ fn vca_metrics() -> &'static VcaMetrics {
         failovers: metrics::counter("vca/failovers", Class::Sim),
         fault_onsets: metrics::counter("vca/fault_onsets", Class::Sim),
         fault_recoveries: metrics::counter("vca/fault_recoveries", Class::Sim),
+        semantic_decodes: metrics::counter("semantic/decodes", Class::Sim),
+        semantic_decode_errors: metrics::counter("semantic/decode_errors", Class::Sim),
     })
 }
 
@@ -227,6 +234,12 @@ pub struct SessionOutcome {
     pub reconnects: Vec<ReconnectSummary>,
     /// Admissions refused fleet-wide (resilience sessions only).
     pub admission_rejects: u64,
+    /// Semantic payloads decoded, summed over senders: each distinct
+    /// payload of a frame is decoded once, however many receivers
+    /// completed it (spatial sessions only).
+    pub semantic_decodes: u64,
+    /// Semantic payloads that failed to decode.
+    pub semantic_decode_errors: u64,
 }
 
 /// One participant's reconnect episode, summarized for the tooling.
@@ -290,7 +303,6 @@ enum SenderState {
 /// Per-receiver bookkeeping for one remote sender.
 struct ReceiverPeer {
     assembler: FrameAssembler,
-    codec: SemanticCodec,
     /// RTP loss tracking.
     last_seq: Option<u16>,
     lost: u64,
@@ -320,7 +332,6 @@ impl ReceiverPeer {
     fn new() -> Self {
         ReceiverPeer {
             assembler: FrameAssembler::new(),
-            codec: SemanticCodec::new(SemanticConfig::default()),
             last_seq: None,
             lost: 0,
             received: 0,
@@ -977,6 +988,9 @@ struct Media {
     /// `receivers[r][s]`: receiver `r`'s state for sender `s` (`None` for
     /// `r == s`). Indexed, so feedback goes out in sender order.
     receivers: Vec<Vec<Option<ReceiverPeer>>>,
+    /// `decoded[s]`: sender `s`'s semantic frames, decoded once and shared
+    /// by its receivers.
+    decoded: Vec<DecodeWindow>,
     /// One delay+loss controller per sender when the loop is closed.
     controllers: Vec<Option<CongestionController>>,
     /// Loss fraction from the newest RR, paired with the next XR into one
@@ -1061,6 +1075,7 @@ impl Media {
             receivers: (0..n)
                 .map(|r| (0..n).map(|s| (s != r).then(ReceiverPeer::new)).collect())
                 .collect(),
+            decoded: (0..n).map(|_| DecodeWindow::new(n - 1)).collect(),
             controllers,
             last_rr_loss: vec![0.0; n],
             pace_budget: vec![0.0; n],
@@ -1549,7 +1564,7 @@ impl SessionSim {
                             {
                                 self.acct.e2e_latency_ms[r].push(d.at.since(sent).as_millis_f64());
                             }
-                            let _ = peer.codec.decode(&payload);
+                            self.media.decoded[sender].take(frame_id, payload);
                         }
                     }
                     PersonaType::TwoD => {
@@ -1826,6 +1841,11 @@ impl SessionSim {
                 directory.total_rejects(),
             ),
         };
+        let (semantic_decodes, semantic_decode_errors) = media
+            .decoded
+            .iter()
+            .map(DecodeWindow::tally)
+            .fold((0, 0), |(d, e), (wd, we)| (d + wd, e + we));
         SessionOutcome {
             persona_type,
             topology: fabric.topology,
@@ -1846,6 +1866,8 @@ impl SessionSim {
             keyframes_forced: acct.keyframes_forced,
             reconnects,
             admission_rejects,
+            semantic_decodes,
+            semantic_decode_errors,
         }
     }
 }
@@ -2072,6 +2094,35 @@ mod tests {
         assert_eq!(out.fallbacks[1], 0, "mode log: {:?}", out.mode_log[1]);
         assert!(out.availability_fraction(0) > 0.9);
         assert!(out.availability_fraction(1) > 0.9);
+    }
+
+    #[test]
+    fn sfu_session_decodes_each_completed_frame_once() {
+        let mut cfg = SessionConfig::facetime_avp(5, &visionsim_geo::cities::us_vantages(), 42);
+        cfg.duration = SimDuration::from_secs(2);
+        let mut sim = SessionSim::new(cfg);
+        while !sim.done() {
+            sim.step_tick();
+        }
+        let mut distinct = 0;
+        for (s, w) in sim.media.decoded.iter().enumerate() {
+            let (decodes, errors) = w.tally();
+            assert_eq!(errors, 0, "sender {s}");
+            assert_eq!(decodes, w.completed.len() as u64, "sender {s}");
+            distinct += decodes;
+        }
+        let out = sim.finish();
+        assert_eq!(out.topology, Topology::Sfu);
+        assert_eq!(
+            (out.semantic_decodes, out.semantic_decode_errors),
+            (distinct, 0)
+        );
+        // Every receiver completed most frames, yet each was decoded once.
+        let completions: u64 = out.e2e_latency_ms.iter().map(|p| p.count() as u64).sum();
+        assert!(
+            distinct > 0 && completions > 3 * distinct,
+            "{completions} completions, {distinct} decodes"
+        );
     }
 
     #[test]
